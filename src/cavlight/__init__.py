@@ -18,7 +18,6 @@ from .modes import ModeIndices, StressTensor, stress_components_011, stress_comp
 from .greens import (  # noqa: F401
     QuadratureSpec,
     SourceFunction,
-    convolve_grid,
     convolve_point,
     kernel,
     mc_oracle,

@@ -119,7 +119,10 @@ def _write(text: str, out: str | None):
 
 
 def _parse_grid(grid: str, slice_spec: str | None) -> GridSpec:
-    counts = [int(v) for v in grid.lower().split("x")]
+    try:
+        counts = [int(v) for v in grid.lower().split("x")]
+    except ValueError:
+        raise ConfigError(f"--grid must be N, NxN or NxNxN with integer counts, got {grid!r}") from None
     default_range = (-PI, 2.0 * PI)
     if slice_spec is None:
         if len(counts) == 1:
@@ -134,7 +137,10 @@ def _parse_grid(grid: str, slice_spec: str | None) -> GridSpec:
         axis = axis.strip()
         if axis not in ("xi", "eta", "zeta") or not value:
             raise ConfigError("--slice must look like xi=1.5")
-        pinned = float(value)
+        try:
+            pinned = float(value)
+        except ValueError:
+            raise ConfigError(f"--slice value must be a number, got {value!r}") from None
         if len(counts) == 1:
             counts = counts * 2
         if len(counts) != 2:
@@ -169,8 +175,13 @@ def cmd_field_map(args) -> int:
         big_m = args.big_m
     if args.mode == "01m" and big_m is None:
         raise ConfigError("mode 01m needs --big-m or a config with a mode")
-    grid = _parse_grid(args.grid, args.slice)
-    spec = QuadratureSpec(rel_tol=args.tolerance)
+    if args.threads < 0:
+        raise ConfigError("--threads must be 0 (auto) or a positive worker count")
+    try:
+        grid = _parse_grid(args.grid, args.slice)
+        spec = QuadratureSpec(rel_tol=args.tolerance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     field = metric_grid(grid, spec, big_m=big_m, threads=args.threads)
     prov = provenance_block(raw, args.seed)
     prov["mode"] = args.mode

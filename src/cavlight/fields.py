@@ -47,19 +47,23 @@ MIN_LARGE_M = 8
 
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
-# which stress source each metric component solves against
-COMPONENT_SOURCES = {
-    "h00": SRC_F1,
-    "h11": SRC_F2,
-    "h22": SRC_F3,
-    "h33": SRC_F3_TILDE,
-    "h23": SRC_F4,
-}
+
+def _g_sources(eta, zeta):
+    return np.stack([src(eta, zeta) for src in G_SOURCES], -1)
+
+
+_SRC_G = SourceFunction(_g_sources, "g")
 
 
 @dataclass(frozen=True)
 class GIntegrals:
-    """The five convolution integrals of the (011) stress sources at a point."""
+    """The five convolution integrals of the (011) stress sources at a point.
+
+    ``error`` bounds the absolute quadrature error of each of the five
+    integrals; ``converged`` means error <= rel_tol times the largest
+    |g|, so an integral that vanishes by symmetry is resolved against
+    the scale of the others, not against its own roundoff.
+    """
 
     g1: float
     g2: float
@@ -75,7 +79,12 @@ class GIntegrals:
 
 @dataclass(frozen=True)
 class MetricPerturbation:
-    """Metric components at a point, in units of P; trace-free by construction."""
+    """Metric components at a point, in units of P; trace-free by construction.
+
+    ``error`` bounds the absolute quadrature error of each component and
+    ``converged`` says whether the quadrature behind it reached its
+    tolerance (see GIntegrals and h_tilde).
+    """
 
     h00: float
     h11: float
@@ -92,13 +101,10 @@ class MetricPerturbation:
 
 
 def g_integrals(point, spec: QuadratureSpec = DEFAULT_SPEC) -> GIntegrals:
-    """Convolutions of f1, f2, f3, f3_tilde, f4 at one point."""
-    results = [convolve_point(src, point, spec) for src in G_SOURCES]
-    return GIntegrals(
-        *(r.value for r in results),
-        error=sum(r.error for r in results),
-        converged=all(r.converged for r in results),
-    )
+    """Convolutions of f1, f2, f3, f3_tilde, f4 at one point, in one
+    adaptive pass over panels shared by all five sources."""
+    r = convolve_point(_SRC_G, point, spec)
+    return GIntegrals(*r.value.tolist(), error=r.error, converged=r.converged)
 
 
 def metric_011(point, spec: QuadratureSpec = DEFAULT_SPEC) -> MetricPerturbation:
@@ -111,7 +117,8 @@ def metric_011(point, spec: QuadratureSpec = DEFAULT_SPEC) -> MetricPerturbation
         h33=0.5 * (g.g1 - g.g2 + g.g3_tilde - g.g3),
         h23=g.g4,
         mode_kind=modes.StressTensor.MODE_011,
-        error=g.error,
+        # h00..h33 each sum four g integrals with weight 1/2
+        error=2.0 * g.error,
         converged=g.converged,
     )
 

@@ -18,14 +18,10 @@ independent verification oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-from .fieldmap import FieldMap, GridSpec
 
 PI = math.pi
 
@@ -41,10 +37,9 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
     max_depth: int = 18
     panel_order: int = 8
-    split_singularity: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
         if self.max_depth < 1:
             raise ValueError("max depth must be at least 1")
@@ -71,7 +66,7 @@ class SourceFunction:
 
 
 class QuadResult(NamedTuple):
-    value: float
+    value: float | np.ndarray
     error: float
     converged: bool
 
@@ -125,37 +120,46 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_values(integrand, rects, nodes, weights):
-    """Tensor Gauss values of a batch of rectangles; rects is (4, P)."""
+    """Tensor Gauss values of a batch of rectangles; rects is (4, P).
+
+    The integrand may carry a trailing component axis after the (P, n, n)
+    node axes; the result is then (P, components).
+    """
     a0, a1, b0, b1 = rects
     wa = (a1 - a0)[:, None, None]
     wb = (b1 - b0)[:, None, None]
     eta = a0[:, None, None] + wa * nodes[None, :, None]
     zeta = b0[:, None, None] + wb * nodes[None, None, :]
     eta, zeta = np.broadcast_arrays(eta, zeta)
-    vals = integrand(eta, zeta)
-    return np.einsum("pij,i,j->p", vals, weights, weights) * (a1 - a0) * (b1 - b0)
+    vals = np.einsum("pij...,i,j->p...", integrand(eta, zeta), weights, weights)
+    return (vals.T * (a1 - a0) * (b1 - b0)).T
 
 
-def _adaptive(integrand, rect_list, spec: QuadratureSpec) -> QuadResult:
-    """Adaptive dyadic refinement over an initial list of rectangles.
+def _component_max(panel_values):
+    """Largest component magnitude per panel."""
+    if panel_values.ndim == 1:
+        return np.abs(panel_values)
+    return np.abs(panel_values).max(axis=1)
 
-    A panel is accepted when the discrepancy between its one-panel value
-    and the sum of its four children is below a share of the global
-    tolerance proportional to sqrt(panel area).
+
+def _adaptive(integrand, rects, spec: QuadratureSpec) -> QuadResult:
+    """Adaptive dyadic refinement over an initial (4, P) array of rectangles.
+
+    All components of a vector integrand share one set of panels.  A
+    panel is accepted when the largest component discrepancy between its
+    one-panel value and the sum of its four children is below a share of
+    the global tolerance, rel_tol times the largest component magnitude,
+    proportional to sqrt(panel area).  ``error`` sums the accepted
+    discrepancies, so it bounds the error of every component, and
+    ``converged`` is exactly error <= rel_tol * max |value|.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
-    rects = np.array(
-        [r for r in rect_list if (r[1] - r[0]) > 0.0 and (r[3] - r[2]) > 0.0]
-    ).T
-    if rects.size == 0:
-        return QuadResult(0.0, 0.0, True)
     total_area = float(((rects[1] - rects[0]) * (rects[3] - rects[2])).sum())
     vals = _panel_values(integrand, rects, nodes, weights)
-    carried_err = np.full(vals.shape, np.inf)
+    tail = vals.shape[1:]
 
     value = 0.0
     err_total = 0.0
-    tol_abs = spec.rel_tol
     for _ in range(spec.max_depth):
         a0, a1, b0, b1 = rects
         am = 0.5 * (a0 + a1)
@@ -171,52 +175,54 @@ def _adaptive(integrand, rect_list, spec: QuadratureSpec) -> QuadResult:
         n_par = rects.shape[1]
         flat = ch.transpose(1, 0, 2).reshape(4, 4 * n_par)
         cvals = _panel_values(integrand, flat, nodes, weights)
-        refined = cvals.reshape(4, n_par).sum(axis=0)
-        perr = np.abs(refined - vals)
+        refined = cvals.reshape(4, n_par, *tail).sum(axis=0)
+        perr = _component_max(refined - vals)
 
-        estimate = value + float(refined.sum())
-        tol_abs = spec.rel_tol * max(abs(estimate), 1e-300)
+        scale = float(abs(value + refined.sum(axis=0)).max())
+        tol_abs = spec.rel_tol * max(scale, 1e-300)
         area = (a1 - a0) * (b1 - b0)
         thresh = 0.25 * tol_abs * np.sqrt(area / total_area)
         # floating-point floor: refining below roundoff only grows the panel set
-        floor = 4.0 * np.finfo(float).eps * (np.abs(refined) + abs(estimate) * area / total_area)
+        floor = 4.0 * np.finfo(float).eps * (_component_max(refined) + scale * area / total_area)
         accept = perr <= np.maximum(thresh, floor)
 
-        value += float(refined[accept].sum())
+        value = value + refined[accept].sum(axis=0)
         err_total += float(perr[accept].sum())
         keep = ~accept
         if not keep.any():
-            return QuadResult(value, err_total, True)
+            break
 
         rects = flat.reshape(4, 4, n_par)[:, :, keep].reshape(4, -1)
-        vals = cvals.reshape(4, n_par)[:, keep].ravel()
-        carried_err = np.broadcast_to(perr[keep] / 4.0, (4, int(keep.sum()))).ravel().copy()
+        vals = cvals.reshape(4, n_par, *tail)[:, keep].reshape(-1, *tail)
+        carried_err = np.broadcast_to(perr[keep] / 4.0, (4, int(keep.sum()))).ravel()
 
         # keep the active set bounded: accept the smallest-error panels early
-        if vals.size > _MAX_ACTIVE_PANELS:
+        if len(vals) > _MAX_ACTIVE_PANELS:
             order = np.argsort(carried_err)
-            cut = vals.size - _MAX_ACTIVE_PANELS
+            cut = len(vals) - _MAX_ACTIVE_PANELS
             small = order[:cut]
-            value += float(vals[small].sum())
+            value = value + vals[small].sum(axis=0)
             err_total += float(carried_err[small].sum())
             keep_idx = order[cut:]
             rects = rects[:, keep_idx]
             vals = vals[keep_idx]
             carried_err = carried_err[keep_idx]
+    else:
+        # depth exhausted: active panels keep their best values and
+        # report their carried error
+        value = value + vals.sum(axis=0)
+        err_total += float(carried_err.sum())
+    converged = err_total <= spec.rel_tol * float(abs(value).max())
+    return QuadResult(value if np.ndim(value) else float(value), err_total, converged)
 
-    # depth exhausted: keep best values, report the carried error honestly
-    leftover = float(np.where(np.isfinite(carried_err), carried_err, 0.0).sum())
-    value += float(vals.sum())
-    err_total += leftover
-    return QuadResult(value, err_total, leftover <= tol_abs)
 
-
-def _convolution_rects(point, spec: QuadratureSpec):
+def _convolution_rects(point):
+    """The source square, split at the projection of an interior point."""
     xi, eta, zeta = point
     eta_cuts = [0.0, PI]
     zeta_cuts = [0.0, PI]
     inside = 0.0 <= xi <= PI and 0.0 <= eta <= PI and 0.0 <= zeta <= PI
-    if spec.split_singularity and inside:
+    if inside:
         if 0.0 < eta < PI:
             eta_cuts = [0.0, eta, PI]
         if 0.0 < zeta < PI:
@@ -225,63 +231,28 @@ def _convolution_rects(point, spec: QuadratureSpec):
     for a0, a1 in zip(eta_cuts[:-1], eta_cuts[1:]):
         for b0, b1 in zip(zeta_cuts[:-1], zeta_cuts[1:]):
             rects.append((a0, a1, b0, b1))
-    return rects
+    return np.array(rects).T
 
 
 def convolve_point(
     source: SourceFunction, point, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
-    """Integral of I(xi, eta - eta', zeta - zeta') * source over [0, pi]^2."""
+    """Integral of I(xi, eta - eta', zeta - zeta') * source over [0, pi]^2.
+
+    A source whose values carry a trailing component axis is integrated
+    in one pass over shared panels; ``value`` is then an array with one
+    entry per component, and the tolerance applies at the scale of the
+    largest component.
+    """
     xi, eta, zeta = (float(v) for v in point)
     if not all(np.isfinite(v) for v in (xi, eta, zeta)):
         raise ValueError("evaluation point must be finite")
 
     def integrand(ep, zp):
-        return _kernel_arrays(xi, eta - ep, zeta - zp) * source(ep, zp)
+        kern = _kernel_arrays(xi, eta - ep, zeta - zp)
+        return (kern.T * source(ep, zp).T).T
 
-    return _adaptive(integrand, _convolution_rects((xi, eta, zeta), spec), spec)
-
-
-def _convolve_chunk(args):
-    source, pts, spec = args
-    out = np.empty((len(pts), 3))
-    for i, p in enumerate(pts):
-        r = convolve_point(source, p, spec)
-        out[i] = (r.value, r.error, float(r.converged))
-    return out
-
-
-def convolve_grid(
-    source: SourceFunction,
-    grid: GridSpec,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    threads: int = 0,
-) -> FieldMap:
-    """convolve_point at every grid node.
-
-    Evaluation is data-parallel over nodes; results are assembled in node
-    order, so the output is identical for any worker count.  threads = 0
-    picks the CPU count, 1 forces serial evaluation.
-    """
-    pts = grid.points()
-    workers = os.cpu_count() or 1 if threads == 0 else threads
-    if workers > 1 and len(pts) > 8:
-        n_chunks = min(len(pts), workers * 4)
-        chunks = np.array_split(pts, n_chunks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_convolve_chunk, [(source, c, spec) for c in chunks]))
-        flat = np.concatenate(parts)
-    else:
-        flat = _convolve_chunk((source, pts, spec))
-    shape = grid.shape
-    return FieldMap(
-        grid=grid,
-        components={source.label: flat[:, 0].reshape(shape)},
-        errors=flat[:, 1].reshape(shape),
-        converged=flat[:, 2].reshape(shape).astype(bool),
-        units="per-P",
-        provenance={"kind": "convolution", "source": source.label},
-    )
+    return _adaptive(integrand, _convolution_rects((xi, eta, zeta)), spec)
 
 
 _MC_CHUNK = 1_000_000

@@ -104,31 +104,34 @@ def test_kernel_singular_exit_code(capsys):
 
 
 def test_field_map_slice_csv(tmp_path):
-    out = tmp_path / "slice.csv"
-    code = main(
-        [
-            "field-map",
-            "--grid",
-            "3",
-            "--slice",
-            "xi=1.5",
-            "--tolerance",
-            "1e-4",
-            "--threads",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    comments = [ln for ln in lines if ln.startswith("#")]
-    rows = [ln for ln in lines if not ln.startswith("#")]
-    assert rows[0] == ",".join(CSV_COLUMNS)
-    assert len(rows) == 1 + 9  # header + 3x3 slice
-    assert any("units" in c for c in comments)
-    # the pinned axis is constant
-    assert all(r.split(",")[0] == "1.5" for r in rows[1:])
+    # the 9x9 slice crosses the mid-planes eta = pi/2 and zeta = pi/2,
+    # where h23 vanishes by symmetry
+    for grid, xi, tolerance, nodes in [("3", "1.5", "1e-4", 9), ("9x9", "1.0", "1e-6", 81)]:
+        out = tmp_path / f"slice-{grid}.csv"
+        code = main(
+            [
+                "field-map",
+                "--grid",
+                grid,
+                "--slice",
+                f"xi={xi}",
+                "--tolerance",
+                tolerance,
+                "--threads",
+                "1",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        comments = [ln for ln in lines if ln.startswith("#")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        assert rows[0] == ",".join(CSV_COLUMNS)
+        assert len(rows) == 1 + nodes
+        assert any("units" in c for c in comments)
+        # the pinned axis is constant
+        assert all(float(r.split(",")[0]) == float(xi) for r in rows[1:])
 
 
 def test_field_map_01m_requires_m(tmp_path, capsys):
@@ -168,6 +171,22 @@ def test_field_map_01m_with_big_m(tmp_path):
 def test_bad_grid_spec_exits_2(capsys):
     assert main(["field-map", "--grid", "2x3"]) == EXIT_CONFIG
     assert main(["field-map", "--grid", "2", "--slice", "w=1"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--grid", "abc"],
+        ["--grid", "0"],
+        ["--grid", "3", "--tolerance", "0"],
+        ["--grid", "3", "--slice", "xi=foo"],
+        ["--grid", "3", "--threads", "-1"],
+    ],
+)
+def test_field_map_bad_arguments_exit_2(args, capsys):
+    assert main(["field-map", *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
 
 
 def test_validate_strict_exit_code(config_path, tmp_path):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from cavlight import greens
 from cavlight.fieldmap import GridSpec
 from cavlight.fields import (
+    G_SOURCES,
     MIN_LARGE_M,
+    SRC_F1,
     delta_c_01M_gsum,
     g_integrals,
     h_tilde,
@@ -17,10 +20,12 @@ from cavlight.fields import (
     metric_01M,
     metric_grid,
 )
-from cavlight.greens import QuadratureSpec
+from cavlight.greens import QuadratureSpec, convolve_point
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
+# on the plane eta = pi/2, where g4 (and h23) vanish by symmetry
+MID_PLANE = (1.0, PI / 2, 0.7)
 
 # g-integrals at the cavity center, frozen from a tight quadrature run
 # (rel_tol 1e-10, depth 24); each confirmed against the seeded 1e7-sample
@@ -51,6 +56,42 @@ def test_g_trace_identity():
     for point in [CENTER, (1.0, 0.8, 2.0), (4.5, 1.5, 1.5)]:
         g = g_integrals(point)
         assert g.g1 == pytest.approx(g.g2 + g.g3 + g.g3_tilde, abs=max(4e-6 * abs(g.g1), 4 * g.error))
+
+
+def test_g_integrals_one_pass_matches_per_source_reference(monkeypatch):
+    # interior, face, edge, exterior and mid-plane points
+    points = [CENTER, (PI / 2, PI / 2, 0.0), (PI / 2, 0.0, 0.0), (PI / 2, -PI, -PI), MID_PLANE]
+    spec = QuadratureSpec(rel_tol=1e-8)
+    kernel_arrays = greens._kernel_arrays
+    seen = [0]
+
+    def counted(*args):
+        out = kernel_arrays(*args)
+        seen[0] += out.size
+        return out
+
+    monkeypatch.setattr(greens, "_kernel_arrays", counted)
+    for point in points:
+        seen[0] = 0
+        g = g_integrals(point, spec)
+        one_pass = seen[0]
+        seen[0] = 0
+        convolve_point(SRC_F1, point, spec)
+        # the five sources share the panels that f1 alone needs
+        assert one_pass <= seen[0]
+        reference = [convolve_point(src, point, spec).value for src in G_SOURCES]
+        scale = max(abs(v) for v in reference)
+        assert np.allclose(g.as_tuple(), reference, rtol=0.0, atol=spec.rel_tol * scale)
+
+
+def test_metric_011_mid_plane_converged():
+    # h23 is resolved against the scale of the other components, not
+    # refined down to roundoff against its own vanishing value
+    spec = QuadratureSpec()
+    m = metric_011(MID_PLANE, spec)
+    g = g_integrals(MID_PLANE, spec)
+    assert m.converged
+    assert abs(m.h23) <= spec.rel_tol * max(abs(v) for v in g.as_tuple())
 
 
 def test_metric_011_center():
