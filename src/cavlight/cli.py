@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
 from .fieldmap import GridSpec
-from .fields import metric_grid
+from .fields import MIN_LARGE_M, metric_grid
 from .greens import QuadratureSpec, SingularKernelError, kernel
 from .io import (
     fieldmap_to_csv,
@@ -73,13 +73,16 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
     for key, value in raw.items():
-        if not isinstance(value, CONFIG_KEYS[key]):
+        # bool is a subclass of int, and no key takes a bool
+        if not isinstance(value, CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} has invalid type {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value}")
 
     mode = None
     if raw.get("mode") is not None:
         indices = raw["mode"]
-        if len(indices) != 3 or not all(isinstance(i, int) for i in indices):
+        if len(indices) != 3 or not all(type(i) is int for i in indices):
             raise ConfigError("mode must be a list of three integers")
         try:
             mode = ModeIndices(*indices)
@@ -105,6 +108,19 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, raw
+
+
+def _quadrature_spec(tolerance: float) -> QuadratureSpec:
+    try:
+        return QuadratureSpec(rel_tol=tolerance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _photon_number(n: float) -> float:
+    if not (math.isfinite(n) and n >= 0):
+        raise ConfigError(f"--n must be a finite non-negative photon number, got {n}")
+    return n
 
 
 def _write(text: str, out: str | None):
@@ -175,13 +191,15 @@ def cmd_field_map(args) -> int:
         big_m = args.big_m
     if args.mode == "01m" and big_m is None:
         raise ConfigError("mode 01m needs --big-m or a config with a mode")
+    if big_m is not None and big_m < MIN_LARGE_M:
+        raise ConfigError(f"mode 01m needs M >= {MIN_LARGE_M}, got {big_m}")
     if args.threads < 0:
         raise ConfigError("--threads must be 0 (auto) or a positive worker count")
     try:
         grid = _parse_grid(args.grid, args.slice)
-        spec = QuadratureSpec(rel_tol=args.tolerance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    spec = _quadrature_spec(args.tolerance)
     field = metric_grid(grid, spec, big_m=big_m, threads=args.threads)
     prov = provenance_block(raw, args.seed)
     prov["mode"] = args.mode
@@ -239,9 +257,13 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_frequency_shift(args) -> int:
     config, raw = load_config(args.config)
-    spec = QuadratureSpec(rel_tol=args.tolerance)
+    spec = _quadrature_spec(args.tolerance)
     shift = frequency_shift(
-        config, args.n, spec, convention=LengthConvention(args.convention), transverse=args.transverse
+        config,
+        _photon_number(args.n),
+        spec,
+        convention=LengthConvention(args.convention),
+        transverse=args.transverse,
     )
     prov = provenance_block(raw, args.seed)
     if args.format == "text":
@@ -259,7 +281,7 @@ def cmd_frequency_shift(args) -> int:
 
 def cmd_validate(args) -> int:
     config, raw = load_config(args.config)
-    report = validate_regime(config, args.n)
+    report = validate_regime(config, _photon_number(args.n))
     prov = provenance_block(raw, args.seed)
     if args.format == "text":
         lines = list(report.messages)

@@ -62,8 +62,8 @@ class FieldMap:
     """Named component arrays on a grid, with provenance and error estimates.
 
     Components are dimensionless, in units of the amplitude P (tagged in
-    ``units``).  ``errors`` is the summed absolute quadrature error
-    estimate per node; ``converged`` flags nodes where the target
+    ``units``).  ``errors`` bounds the absolute quadrature error of each
+    component at a node; ``converged`` flags nodes where the target
     tolerance was reached.
     """
 

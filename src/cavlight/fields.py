@@ -192,6 +192,45 @@ def _metric_chunk(args):
     return out
 
 
+def _mirrored(values: np.ndarray) -> bool:
+    """Whether axis values are symmetric about pi/2, to a few ulp.
+
+    linspace(-pi, 2*pi, N) misses exact symmetry by about one ulp, so
+    the test cannot be exact equality.  A pinned axis counts only at
+    pi/2.
+    """
+    tol = 4.0 * np.finfo(float).eps * max(PI, float(np.max(np.abs(values))))
+    return bool(np.all(np.abs(values + values[::-1] - PI) <= tol))
+
+
+def _fold(grid: GridSpec, swap_eta_zeta: bool):
+    """Canonical representative of every grid node under the field's
+    symmetries.
+
+    Each mirrored axis maps index k to min(k, N-1-k); with
+    ``swap_eta_zeta`` the (eta, zeta) index pair is then sorted.
+    Returns the flat indices of the distinct representatives, the
+    position of each node's representative among them, whether an odd
+    number of eta/zeta mirrors was used (h23 changes sign), and whether
+    the swap was used (h22 and h33 trade places).  A grid with no
+    symmetric axis maps every node to itself.
+    """
+    shape = grid.shape
+    idx = np.indices(shape).reshape(3, -1)
+    flipped = np.zeros(idx.shape, dtype=bool)
+    for axis in range(3):
+        if _mirrored(grid.axis_values(axis)):
+            mirror = shape[axis] - 1 - idx[axis]
+            flipped[axis] = mirror < idx[axis]
+            idx[axis] = np.minimum(idx[axis], mirror)
+    swapped = np.zeros(idx.shape[1], dtype=bool)
+    if swap_eta_zeta:
+        swapped = idx[1] > idx[2]
+        idx[1:] = np.sort(idx[1:], axis=0)
+    nodes, inverse = np.unique(np.ravel_multi_index(idx, shape), return_inverse=True)
+    return nodes, inverse, flipped[1] ^ flipped[2], swapped
+
+
 def metric_grid(
     grid: GridSpec,
     spec: QuadratureSpec = DEFAULT_SPEC,
@@ -201,9 +240,16 @@ def metric_grid(
     """Metric components plus light-speed deviations on a grid.
 
     big_m = None selects the (011) mode; otherwise the large-M mode.
+    Only symmetry-distinct nodes are evaluated: the field is unchanged
+    under xi -> pi-xi, eta -> pi-eta and zeta -> pi-zeta (h23 changes
+    sign under the last two), and the (011) field under eta <-> zeta
+    (h22 and h33 trade places), so an axis symmetric about pi/2 is
+    folded in half, and equal eta and zeta axes are folded once more.
     Node order is fixed, so output is bit-identical for any worker count.
     """
-    pts = grid.points()
+    swap = big_m is None and np.array_equal(grid.axis_values(1), grid.axis_values(2))
+    nodes, inverse, odd, swapped = _fold(grid, swap)
+    pts = grid.points()[nodes]
     workers = os.cpu_count() or 1 if threads == 0 else threads
     if workers > 1 and len(pts) > 8:
         n_chunks = min(len(pts), workers * 4)
@@ -213,6 +259,11 @@ def metric_grid(
         flat = np.concatenate(parts)
     else:
         flat = _metric_chunk((pts, big_m, spec))
+    flat = flat[inverse]
+    # 0 - h rather than -h keeps an exact zero (all of large-M h23) from
+    # becoming -0, which the CSV would print as "-0"
+    flat[odd, 4] = 0.0 - flat[odd, 4]
+    flat[np.ix_(swapped, [2, 3])] = flat[np.ix_(swapped, [3, 2])]
 
     shape = grid.shape
     comp = {name: flat[:, i].reshape(shape) for i, name in enumerate(METRIC_COMPONENTS)}
@@ -244,18 +295,14 @@ class ResidualStats:
 MAX_RESIDUAL_SPACING = PI / 32
 
 
-def laplacian_residual(field: FieldMap, amplitude: float = 1.0) -> ResidualStats:
+def laplacian_residual(field: FieldMap) -> ResidualStats:
     """Compare the 7-point Laplacian of each metric component to -4*pi
     times its stress source.
 
-    ``amplitude`` scales both sides (the physical P for n photons); a
-    zero amplitude therefore gives a zero residual.  Requires a uniform
-    interior grid (strictly inside (0, pi)^3) with spacing at most
-    pi/32.  Residuals are normalized by the largest source magnitude
-    over the compared nodes.
+    Requires a uniform interior grid (strictly inside (0, pi)^3) with
+    spacing at most pi/32.  Residuals are normalized by the largest
+    source magnitude over the compared nodes.
     """
-    if amplitude == 0.0:
-        return ResidualStats(0.0, 0.0, field.grid.spacings()[0], 0)
     dx, dy, dz = field.grid.spacings()
     if min(dx, dy, dz) <= 0:
         raise ValueError("residual check needs a 3D grid (counts >= 3 per axis)")

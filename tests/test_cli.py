@@ -58,6 +58,31 @@ def test_bad_mode_exits_2(tmp_path):
     assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides, command",
+    [
+        ({"cavity_length_m": True}, ["bounds"]),
+        ({"wavelength_m": True}, ["bounds"]),
+        ({"finesse": True}, ["bounds"]),
+        ({"measurement_time_s": True}, ["bounds"]),
+        ({"mode": [0, 1, True]}, ["bounds"]),
+        ({"cavity_length_m": math.nan}, ["bounds"]),
+        ({"wavelength_m": math.inf}, ["bounds"]),
+        ({"finesse": math.nan}, ["bounds"]),
+        ({"measurement_time_s": math.inf}, ["bounds"]),
+        # a config mode below fields.MIN_LARGE_M
+        ({"mode": [0, 1, 3]}, ["field-map", "--mode", "01m", "--grid", "2"]),
+    ],
+)
+def test_bool_non_finite_or_out_of_range_config_exits_2(tmp_path, capsys, overrides, command):
+    path = tmp_path / "bad.json"
+    # json.dumps writes NaN and Infinity, which json.load accepts
+    path.write_text(json.dumps({"cavity_length_m": 1000.0, "wavelength_m": 500e-9, **overrides}))
+    assert main([*command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_bad_time_convention_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -166,6 +191,8 @@ def test_field_map_01m_with_big_m(tmp_path):
         vals = dict(zip(cols, (float(v) for v in row.split(","))))
         assert vals["dcz"] == pytest.approx(2.0 * vals["dcx"], rel=1e-12)
         assert vals["h11"] == 0.0 and vals["h23"] == 0.0
+        # the slice is folded across eta = pi/2, and h23 must not become -0
+        assert "-0" not in row.split(",")
 
 
 def test_bad_grid_spec_exits_2(capsys):
@@ -181,10 +208,28 @@ def test_bad_grid_spec_exits_2(capsys):
         ["--grid", "3", "--tolerance", "0"],
         ["--grid", "3", "--slice", "xi=foo"],
         ["--grid", "3", "--threads", "-1"],
+        ["--mode", "01m", "--big-m", "3", "--grid", "2"],
     ],
 )
 def test_field_map_bad_arguments_exit_2(args, capsys):
     assert main(["field-map", *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["frequency-shift", "--n", "1e20", "--tolerance", "0"],
+        ["frequency-shift", "--n", "-1"],
+        ["frequency-shift", "--n", "nan"],
+        ["frequency-shift", "--n", "inf"],
+        ["validate", "--n", "-1"],
+        ["validate", "--n", "nan"],
+    ],
+)
+def test_bad_photon_number_or_tolerance_exits_2(config_path, args, capsys):
+    assert main([*args, "--config", config_path]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cavlight import greens
+from cavlight import fields, greens
 from cavlight.fieldmap import GridSpec
 from cavlight.fields import (
     G_SOURCES,
@@ -169,13 +169,89 @@ def test_metric_grid_01M_dcz_is_twice_dcx():
     assert np.array_equal(field.components["dcz"], 2.0 * field.components["dcx"])
 
 
+def _default_range(count):
+    """The CLI's default grid, linspace(-pi, 2pi, count) on every axis."""
+    return GridSpec(*[(-PI, 2 * PI, count)] * 3)
+
+
 def test_metric_grid_thread_invariance():
-    grid = GridSpec(xi=(0.8, 2.2, 3), eta=(1.0, 2.0, 2), zeta=(1.3, 1.7, 2))
     spec = QuadratureSpec(rel_tol=1e-4)
-    a = metric_grid(grid, spec, threads=1)
-    b = metric_grid(grid, spec, threads=3)
-    for name in a.components:
-        assert np.array_equal(a.components[name], b.components[name])
+    unfolded = GridSpec(xi=(0.8, 2.2, 3), eta=(1.0, 2.0, 2), zeta=(1.3, 1.7, 2))
+    # the folded 6^3 grid keeps 18 distinct nodes, enough for the pool
+    for grid in [unfolded, _default_range(6)]:
+        a = metric_grid(grid, spec, threads=1)
+        b = metric_grid(grid, spec, threads=3)
+        for name in a.components:
+            assert np.array_equal(a.components[name], b.components[name])
+        assert np.array_equal(a.errors, b.errors) and np.array_equal(a.converged, b.converged)
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of fields.<name> made in this process (threads=1)."""
+    original = getattr(fields, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(fields, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, big_m",
+    [
+        (_default_range(4), None),  # even counts
+        (GridSpec(*[(PI / 2 - 2.3, PI / 2 + 2.3, 5)] * 3), None),  # odd counts
+        (GridSpec(xi=(PI / 2, PI / 2, 1), eta=(-PI, 2 * PI, 6), zeta=(-PI, 2 * PI, 6)), None),
+        # eta and zeta counts differ, so there is no swap
+        (GridSpec(xi=(-PI, 2 * PI, 4), eta=(-PI, 2 * PI, 5), zeta=(-PI, 2 * PI, 3)), None),
+        (_default_range(4), 64),
+    ],
+)
+def test_metric_grid_folded_matches_per_node(grid, big_m):
+    spec = QuadratureSpec(rel_tol=1e-4)
+    field = metric_grid(grid, spec, big_m=big_m, threads=1)
+    errors = field.errors.reshape(-1)
+    for n, point in enumerate(grid.points()):
+        m = metric_011(point, spec) if big_m is None else metric_01M(point, big_m, spec)
+        for name in ("h00", "h11", "h22", "h33", "h23"):
+            a, b = field.components[name].reshape(-1)[n], getattr(m, name)
+            # criterion 5's agreement test
+            assert abs(a - b) <= 4.0 * spec.rel_tol * max(abs(a), 1.0) + 2.0 * (errors[n] + m.error)
+
+
+def test_metric_grid_h23_changes_sign_across_eta_mid_plane(monkeypatch):
+    spec = QuadratureSpec(rel_tol=1e-4)
+    below = metric_011((1.0, 0.7, 0.4), spec)
+    above = metric_011((1.0, PI - 0.7, 0.4), spec)
+    assert below.h23 * above.h23 < 0.0
+    assert abs(below.h23) > 100 * below.error
+    calls = _count_calls(monkeypatch, "metric_011")
+    grid = GridSpec(xi=(1.0, 1.0, 1), eta=(0.7, PI - 0.7, 2), zeta=(0.4, 0.4, 1))
+    field = metric_grid(grid, spec, threads=1)
+    assert calls[0] == 1
+    h23 = field.components["h23"][0, :, 0]
+    assert h23[0] == below.h23 and h23[1] == -below.h23
+
+
+@pytest.mark.parametrize(
+    "grid, big_m, evaluated",
+    [
+        # linspace(-pi, 2pi, 10) on every axis: 5 x (5*6/2) representatives
+        (_default_range(10), None, 75),
+        # no axis symmetric about pi/2 and eta != zeta: every node
+        (GridSpec(xi=(0.8, 2.2, 3), eta=(1.0, 2.0, 2), zeta=(1.3, 1.7, 2)), None, 12),
+        # large-M folds the mirrors only, and this interior grid has none
+        (GridSpec(*[(0.5, 0.68, 3)] * 3), 1000, 27),
+        (_default_range(10), 1000, 125),
+    ],
+)
+def test_metric_grid_evaluates_distinct_nodes_only(monkeypatch, grid, big_m, evaluated):
+    calls = _count_calls(monkeypatch, "metric_011" if big_m is None else "metric_01M")
+    metric_grid(grid, QuadratureSpec(rel_tol=1e-4), big_m=big_m, threads=1)
+    assert calls[0] == evaluated
 
 
 def _interior_field(delta, count=5):
@@ -190,15 +266,11 @@ def _interior_field(delta, count=5):
 
 
 def test_laplacian_residual_validation():
-    field = _interior_field(PI / 64)
     # too coarse
     coarse = GridSpec(xi=(0.5, 2.5, 3), eta=(0.5, 2.5, 3), zeta=(0.5, 2.5, 3))
     cf = metric_grid(coarse, QuadratureSpec(rel_tol=1e-3), threads=1)
     with pytest.raises(ValueError):
         laplacian_residual(cf)
-    # zero amplitude short-circuits to a zero residual
-    stats = laplacian_residual(field, amplitude=0.0)
-    assert stats.max_relative == 0.0 and stats.points == 0
 
 
 def test_laplacian_residual_small_on_interior_block():
