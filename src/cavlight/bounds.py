@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.optimize import brentq
-
 from .physical import (
     CODATA,
     DimensionlessParams,
@@ -85,7 +83,6 @@ class TradeoffSolution:
 
 
 ROOT_BRACKET_DECADES = (0.0, 60.0)
-ROOT_REL_TOL = 1e-9
 
 
 def optimal_tradeoff(
@@ -97,8 +94,7 @@ def optimal_tradeoff(
     """Solve qcrb(n) = |backaction(n)| for n.
 
     Optimal and coherent-asymptotic probes admit closed forms; the
-    coherent exact formula is solved by bracketed root finding in
-    log10(n).
+    coherent exact formula is solved by bisection in log10(n).
     """
     params = config if isinstance(config, DimensionlessParams) else derive_params(config, constants)
     tau, kappa, big_m = params.tau, params.kappa, params.mode_index
@@ -143,8 +139,15 @@ def optimal_tradeoff(
         raise ValueError(
             f"root bracket failed: gap({lo})={g_lo:.3g}, gap({hi})={g_hi:.3g}"
         )
-    log_n = brentq(gap, lo, hi, xtol=1e-13, rtol=8.882e-16)
-    n_opt = 10.0**log_n
+    # The Fisher information grows with n and the back-action linearly,
+    # so the gap falls strictly with log n and bisection keeps the root.
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    n_opt = 10.0 ** (0.5 * (lo + hi))
     q = qcrb(ProbeState(state_kind, n_opt, coherent_formula), tau)
     return TradeoffSolution(
         state_kind,

@@ -211,6 +211,10 @@ def cmd_field_map(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be a positive count, got {args.points}")
+    if not (math.isfinite(args.decades) and args.decades > 0):
+        raise ConfigError(f"--decades must be a finite positive number, got {args.decades}")
     config, raw = load_config(args.config)
     params = derive_params(config)
     kind = ProbeKind(args.state)

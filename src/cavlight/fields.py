@@ -148,17 +148,6 @@ def metric_01M(
     )
 
 
-def delta_c_01M_gsum(point, big_m: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Alternative large-M deviation -M*(g1+g2+g3+g3_tilde)/4, per unit P.
-
-    Kept alongside the canonical -h00/2 route because the two reduced
-    integrands (2 - cos 2eta' - cos 2zeta' vs 4 sin^2 eta') differ; see
-    README.  Not used by the field pipeline.
-    """
-    g = g_integrals(point, spec)
-    return -big_m * (g.g1 + g.g2 + g.g3 + g.g3_tilde) / 4.0
-
-
 def lightspeed_field(metric: MetricPerturbation, measured: bool = False):
     """Directional relative light-speed deviations (x, y, z) from a metric.
 

@@ -25,17 +25,15 @@ LARGE_M_WARN_THRESHOLD = 64
 
 @dataclass(frozen=True)
 class ModeIndices:
-    """Wave-vector indices (l_x, l_y, l_z) and polarization of a box mode.
+    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
 
     At most one index may be zero (and not all), otherwise the mode
-    function vanishes identically.  If no polarization is given, a unit
-    vector transverse to k is chosen automatically.
+    function vanishes identically.
     """
 
     l_x: int
     l_y: int
     l_z: int
-    polarization: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         ls = (self.l_x, self.l_y, self.l_z)
@@ -44,24 +42,6 @@ class ModeIndices:
         n_zero = sum(1 for l in ls if l == 0)
         if n_zero > 1:
             raise ValueError(f"at most one mode index may be zero, got {ls}")
-        if self.polarization is None:
-            object.__setattr__(self, "polarization", self._auto_polarization())
-        e = np.asarray(self.polarization, dtype=float)
-        norm = float(np.linalg.norm(e))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"polarization must be a unit vector, |e|={norm}")
-        if abs(float(e @ np.asarray(ls, dtype=float))) > 1e-12 * max(ls):
-            raise ValueError("polarization must be transverse to k")
-
-    def _auto_polarization(self) -> tuple[float, float, float]:
-        if self.l_x == 0:
-            return (1.0, 0.0, 0.0)
-        if self.l_y == 0:
-            return (0.0, 1.0, 0.0)
-        if self.l_z == 0:
-            return (0.0, 0.0, 1.0)
-        norm = math.hypot(self.l_y, self.l_x)
-        return (self.l_y / norm, -self.l_x / norm, 0.0)
 
     @property
     def index_norm(self) -> float:
@@ -74,24 +54,6 @@ def mode_frequency(mode: ModeIndices, length: float, c: float) -> float:
     if length <= 0:
         raise ValueError("cavity length must be positive")
     return c * math.pi / length * mode.index_norm
-
-
-def mode_function(mode: ModeIndices, point, length: float) -> np.ndarray:
-    """Mode function v(r) at a point (xi, eta, zeta) in [0, pi]^3.
-
-    Normalized so that the integral of |v|^2 over the box is one: the
-    prefactor is sqrt(8/V) with V = L^3, except that a zero index turns
-    its sin^2 factor (mean 1/2) into cos^2(0) = 1 and halves the norm.
-    """
-    xi, eta, zeta = point
-    n_zero = sum(1 for l in (mode.l_x, mode.l_y, mode.l_z) if l == 0)
-    norm = math.sqrt(2.0 ** (3 - n_zero) / length**3)
-    ex, ey, ez = mode.polarization
-    lx, ly, lz = mode.l_x, mode.l_y, mode.l_z
-    vx = ex * np.cos(lx * xi) * np.sin(ly * eta) * np.sin(lz * zeta)
-    vy = ey * np.sin(lx * xi) * np.cos(ly * eta) * np.sin(lz * zeta)
-    vz = ez * np.sin(lx * xi) * np.sin(ly * eta) * np.cos(lz * zeta)
-    return norm * np.array([vx, vy, vz])
 
 
 # -- dimensionless stress components for the (0,1,1) mode -------------------

@@ -21,6 +21,9 @@ from .fields import SRC_UNIT
 from .physical import ExperimentConfig, PhysicalConstants, CODATA, derive_params
 
 PI = math.pi
+# Gauss-Legendre orders along the propagation line and per cross-section axis
+N_LINE = 24
+N_CROSS = 6
 
 
 class LengthConvention(Enum):
@@ -35,24 +38,19 @@ def epsilon_point(point, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
 
 
 @lru_cache(maxsize=32)
-def line_average_epsilon(
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    transverse: str = "center",
-    n_line: int = 24,
-    n_cross: int = 6,
-) -> float:
+def line_average_epsilon(spec: QuadratureSpec = DEFAULT_SPEC, transverse: str = "center") -> float:
     """Average of the dimensionless epsilon along the propagation line.
 
     ``transverse='center'`` averages along (xi, pi/2, pi/2);
     ``'average'`` additionally averages over the cross-section.
     """
-    x, w = np.polynomial.legendre.leggauss(n_line)
+    x, w = np.polynomial.legendre.leggauss(N_LINE)
     xs = 0.5 * PI * (x + 1.0)
     ws = 0.5 * w  # normalized: weights sum to 1
     if transverse == "center":
         trans = [(PI / 2, PI / 2, 1.0)]
     elif transverse == "average":
-        xc, wc = np.polynomial.legendre.leggauss(n_cross)
+        xc, wc = np.polynomial.legendre.leggauss(N_CROSS)
         pc = 0.5 * PI * (xc + 1.0)
         wc = 0.5 * wc
         trans = [(e, z, we * wz) for e, we in zip(pc, wc) for z, wz in zip(pc, wc)]

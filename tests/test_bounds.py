@@ -97,6 +97,20 @@ def test_coherent_tradeoff_exact_vs_asymptotic():
     assert sol_e.qcrb_at_solution == pytest.approx(abs(sol_e.backaction_at_solution), rel=1e-6)
 
 
+@pytest.mark.parametrize("measurement_time", [3e-16, 1e-15])
+def test_coherent_exact_root_balances_noise_and_backaction(measurement_time):
+    # tau ~ 0.57 and ~ 1.9, where the exact n_opt differs from the
+    # asymptote by 34% and 2%, so the root finder does real work
+    config = ExperimentConfig(
+        cavity_length=1.0, wavelength=1e-6, measurement_time_override=measurement_time
+    )
+    sol = optimal_tradeoff(config, ProbeKind.COHERENT, CoherentFormula.EXACT)
+    asym = optimal_tradeoff(config, ProbeKind.COHERENT, CoherentFormula.ASYMPTOTIC)
+    assert sol.method == "root-find"
+    assert abs(sol.n_opt / asym.n_opt - 1.0) > 0.01
+    assert abs(math.log(sol.qcrb_at_solution / abs(sol.backaction_at_solution))) <= 1e-12
+
+
 def test_table1_frozen_values():
     table = table1(DEFAULT)
     entries = table.entries()

@@ -226,6 +226,11 @@ def test_field_map_bad_arguments_exit_2(args, capsys):
         ["frequency-shift", "--n", "inf"],
         ["validate", "--n", "-1"],
         ["validate", "--n", "nan"],
+        ["tradeoff", "--points", "0"],
+        ["tradeoff", "--points", "-1"],
+        ["tradeoff", "--decades", "nan"],
+        ["tradeoff", "--decades", "inf"],
+        ["tradeoff", "--decades", "0"],
     ],
 )
 def test_bad_photon_number_or_tolerance_exits_2(config_path, args, capsys):
@@ -318,3 +323,18 @@ def test_installed_entry_point_version():
     )
     assert proc.returncode == 0
     assert "cavlight" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # start-up guard: the package and its CLI need numpy only
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cavlight, cavlight.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -11,7 +11,6 @@ from cavlight.fields import (
     G_SOURCES,
     MIN_LARGE_M,
     SRC_F1,
-    delta_c_01M_gsum,
     g_integrals,
     h_tilde,
     laplacian_residual,
@@ -130,9 +129,10 @@ def test_metric_01M_linear_in_m():
 
 
 def test_delta_c_01M_gsum_alternative():
-    # the alternative reduced integrand gives the same value at the
-    # symmetric center (documented to differ off-center)
-    val = delta_c_01M_gsum(CENTER, 100)
+    # the g-sum route -M*(g1+g2+g3+g3_tilde)/4 integrates a different
+    # reduced source but gives the same value at the symmetric center
+    g = g_integrals(CENTER)
+    val = -100 * (g.g1 + g.g2 + g.g3 + g.g3_tilde) / 4.0
     m = metric_01M(CENTER, 100)
     assert val < 0.0
     assert val == pytest.approx(-0.5 * m.h00, rel=1e-4)

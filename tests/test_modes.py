@@ -15,7 +15,6 @@ from cavlight.modes import (
     f3_tilde,
     f4,
     mode_frequency,
-    mode_function,
     stress_components_011,
     stress_components_01M,
 )
@@ -30,19 +29,6 @@ def test_mode_indices_validation():
         ModeIndices(0, 0, 5)  # two zero indices
     with pytest.raises(ValueError):
         ModeIndices(-1, 1, 1)
-    with pytest.raises(ValueError):
-        ModeIndices(0, 1, 1, polarization=(2.0, 0.0, 0.0))  # not unit
-    with pytest.raises(ValueError):
-        ModeIndices(0, 1, 1, polarization=(0.0, 1.0, 0.0))  # not transverse
-
-
-def test_auto_polarization_is_transverse_unit():
-    for idx in [(0, 1, 4), (1, 0, 2), (3, 2, 0), (1, 1, 1), (2, 3, 5)]:
-        mode = ModeIndices(*idx)
-        e = np.array(mode.polarization)
-        k = np.array(idx, dtype=float)
-        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
-        assert abs(e @ k) < 1e-12 * max(idx)
 
 
 def test_mode_frequency():
@@ -50,20 +36,6 @@ def test_mode_frequency():
     assert mode_frequency(mode, 2.0, 3e8) == pytest.approx(3e8 * PI / 2.0 * math.sqrt(2.0))
     with pytest.raises(ValueError):
         mode_frequency(mode, 0.0, 3e8)
-
-
-@pytest.mark.parametrize("indices", [(0, 1, 3), (2, 1, 1)])
-def test_mode_function_normalization(indices):
-    # integral of |v|^2 over the box equals one (midpoint rule)
-    mode = ModeIndices(*indices)
-    length = 2.0
-    n = 40
-    xs = (np.arange(n) + 0.5) * PI / n
-    xi, eta, zeta = np.meshgrid(xs, xs, xs, indexing="ij")
-    v = mode_function(mode, (xi, eta, zeta), length)
-    # volume element: (L/pi)^3 per unit coordinate cell
-    integral = float(np.sum(v**2)) * (length / n) ** 3
-    assert integral == pytest.approx(1.0, rel=1e-6)
 
 
 @given(angles, angles)
