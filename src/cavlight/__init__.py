@@ -20,7 +20,6 @@ from .greens import (  # noqa: F401
     SourceFunction,
     convolve_point,
     kernel,
-    mc_oracle,
 )
 from .fieldmap import FieldMap, GridSpec  # noqa: F401
 from .fields import (  # noqa: F401

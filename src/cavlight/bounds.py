@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .physical import (
-    CODATA,
-    DimensionlessParams,
-    ExperimentConfig,
-    PhysicalConstants,
-    derive_params,
-    storage_time,
-)
+from .physical import CODATA, DimensionlessParams, ExperimentConfig, derive_params, storage_time
 
 
 class ProbeKind(Enum):
@@ -50,36 +43,37 @@ def qcrb(state: ProbeState, tau: float) -> float:
     if tau <= 0:
         raise ValueError("no information at zero evolution time")
     n = state.n
+    # root_f = sqrt(F)/2 for the quantum Fisher information F, and the
+    # bound is 1/sqrt(F)
     if state.kind is ProbeKind.OPTIMAL:
-        return 1.0 / (2.0 * tau * n)
-    if state.coherent_formula is CoherentFormula.ASYMPTOTIC:
-        return 1.0 / (2.0 * tau * math.sqrt(n))
-    s = math.sin(tau)
-    fisher = (0.5 + n) * s * s + n * tau * (tau + math.sin(2.0 * tau))
-    return 0.5 / math.sqrt(abs(fisher))
+        root_f = tau * n
+    elif state.coherent_formula is CoherentFormula.ASYMPTOTIC:
+        root_f = tau * math.sqrt(n)
+    else:
+        s = math.sin(tau)
+        root_f = math.sqrt(abs((0.5 + n) * s * s + n * tau * (tau + math.sin(2.0 * tau))))
+    if not 0.0 < root_f < math.inf or 0.5 / root_f == math.inf:
+        raise ValueError(f"delta_c/c at n={n:.3g}, tau={tau:.3g} is outside float range")
+    return 0.5 / root_f
 
 
 def backaction(n: float, big_m: int, kappa: float) -> float:
     """Signed light-speed modification -kappa*n*M caused by the probe."""
     if n < 0 or big_m < 1:
         raise ValueError("need n >= 0 and M >= 1")
-    return -kappa * n * big_m
+    shift = -kappa * n * big_m
+    if shift == -math.inf:
+        raise ValueError(f"back-action at n={n:.3g} is outside float range")
+    return shift
 
 
 @dataclass(frozen=True)
 class TradeoffSolution:
     """Photon number at which quantum noise equals the back-action."""
 
-    state_kind: ProbeKind
-    coherent_formula: CoherentFormula | None
     n_opt: float
     delta_c_min: float
-    tau: float
-    kappa: float
-    mode_index: int
     method: str  # "closed-form" or "root-find"
-    qcrb_at_solution: float
-    backaction_at_solution: float
 
 
 ROOT_BRACKET_DECADES = (0.0, 60.0)
@@ -89,49 +83,35 @@ def optimal_tradeoff(
     config: ExperimentConfig | DimensionlessParams,
     state_kind: ProbeKind,
     coherent_formula: CoherentFormula = CoherentFormula.ASYMPTOTIC,
-    constants: PhysicalConstants = CODATA,
 ) -> TradeoffSolution:
     """Solve qcrb(n) = |backaction(n)| for n.
 
     Optimal and coherent-asymptotic probes admit closed forms; the
-    coherent exact formula is solved by bisection in log10(n).
+    coherent exact formula is solved by bisection in log10(n).  Raises
+    ValueError when tau, kappa*M or their product leaves float range, or
+    when the exact root lies outside the bracket.
     """
-    params = config if isinstance(config, DimensionlessParams) else derive_params(config, constants)
-    tau, kappa, big_m = params.tau, params.kappa, params.mode_index
-    km = kappa * big_m
+    params = config if isinstance(config, DimensionlessParams) else derive_params(config)
+    tau = params.tau
+    km = params.kappa * params.mode_index
+    scale = 2.0 * (tau * km)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"2*tau*kappa*M is outside float range for tau = {tau:.3g}, kappa*M = {km:.3g}")
 
     if state_kind is ProbeKind.OPTIMAL:
-        n_opt = (2.0 * tau * km) ** -0.5
-        return TradeoffSolution(
-            state_kind,
-            None,
-            n_opt,
-            1.0 / (2.0 * tau * n_opt),
-            tau,
-            kappa,
-            big_m,
-            "closed-form",
-            1.0 / (2.0 * tau * n_opt),
-            -km * n_opt,
-        )
-    if coherent_formula is CoherentFormula.ASYMPTOTIC:
-        n_opt = (2.0 * tau * km) ** (-2.0 / 3.0)
-        return TradeoffSolution(
-            state_kind,
-            coherent_formula,
-            n_opt,
-            1.0 / (2.0 * tau * math.sqrt(n_opt)),
-            tau,
-            kappa,
-            big_m,
-            "closed-form",
-            1.0 / (2.0 * tau * math.sqrt(n_opt)),
-            -km * n_opt,
-        )
+        n_opt, method = scale**-0.5, "closed-form"
+    elif coherent_formula is CoherentFormula.ASYMPTOTIC:
+        n_opt, method = scale ** (-2.0 / 3.0), "closed-form"
+    else:
+        n_opt, method = _coherent_exact_root(tau, km), "root-find"
+    return TradeoffSolution(n_opt, qcrb(ProbeState(state_kind, n_opt, coherent_formula), tau), method)
 
+
+def _coherent_exact_root(tau: float, km: float) -> float:
     def gap(log_n: float) -> float:
         n = 10.0**log_n
-        return math.log(qcrb(ProbeState(state_kind, n, coherent_formula), tau)) - math.log(km * n)
+        state = ProbeState(ProbeKind.COHERENT, n, CoherentFormula.EXACT)
+        return math.log(qcrb(state, tau)) - math.log(km * n)
 
     lo, hi = ROOT_BRACKET_DECADES
     g_lo, g_hi = gap(lo), gap(hi)
@@ -147,20 +127,7 @@ def optimal_tradeoff(
             lo = mid
         else:
             hi = mid
-    n_opt = 10.0 ** (0.5 * (lo + hi))
-    q = qcrb(ProbeState(state_kind, n_opt, coherent_formula), tau)
-    return TradeoffSolution(
-        state_kind,
-        coherent_formula,
-        n_opt,
-        q,
-        tau,
-        kappa,
-        big_m,
-        "root-find",
-        q,
-        -km * n_opt,
-    )
+    return 10.0 ** (0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -172,20 +139,19 @@ class ComparisonBounds:
     ac_eq5: float     # (l_QG^2*c*T)^(1/3)/L
 
 
-def comparison_bounds(
-    config: ExperimentConfig,
-    l_qg: float | None = None,
-    constants: PhysicalConstants = CODATA,
-) -> ComparisonBounds:
-    """Evaluate the comparison predictions with T from the storage time."""
-    l_pl = constants.planck_length
-    l_qg = l_pl if l_qg is None else l_qg
+def comparison_bounds(config: ExperimentConfig) -> ComparisonBounds:
+    """Evaluate the comparison predictions with l_QG = l_Pl and T from the
+    storage time."""
+    l_pl = CODATA.planck_length
     length = config.cavity_length
-    ct = constants.c * storage_time(config, constants)
+    t = storage_time(config)
+    ct = CODATA.c * t
+    if ct == math.inf:
+        raise ValueError(f"c*T is outside float range for T = {t:.3g} s")
     return ComparisonBounds(
         ng00=(l_pl / length) ** (2.0 / 3.0),
-        ac_eq3=math.sqrt(l_qg * ct) / length,
-        ac_eq5=(l_qg**2 * ct) ** (1.0 / 3.0) / length,
+        ac_eq3=math.sqrt(l_pl * ct) / length,
+        ac_eq5=(l_pl**2 * ct) ** (1.0 / 3.0) / length,
     )
 
 
@@ -199,7 +165,6 @@ class ScalingTable:
     optimal_lossy: TradeoffSolution | None
     coherent_lossy: TradeoffSolution | None
     comparisons: ComparisonBounds
-    config: ExperimentConfig
 
     def entries(self) -> dict[str, dict[str, float] | None]:
         def cell(sol: TradeoffSolution | None):
@@ -218,20 +183,17 @@ class ScalingTable:
         }
 
 
-def table1(config: ExperimentConfig, constants: PhysicalConstants = CODATA) -> ScalingTable:
+def table1(config: ExperimentConfig) -> ScalingTable:
     """Assemble the scaling table for one configuration."""
     lossless = config.lossless()
-    opt_ll = optimal_tradeoff(lossless, ProbeKind.OPTIMAL, constants=constants)
-    coh_ll = optimal_tradeoff(lossless, ProbeKind.COHERENT, constants=constants)
     opt_lo = coh_lo = None
     if config.finesse is not None:
-        opt_lo = optimal_tradeoff(config, ProbeKind.OPTIMAL, constants=constants)
-        coh_lo = optimal_tradeoff(config, ProbeKind.COHERENT, constants=constants)
+        opt_lo = optimal_tradeoff(config, ProbeKind.OPTIMAL)
+        coh_lo = optimal_tradeoff(config, ProbeKind.COHERENT)
     return ScalingTable(
-        optimal_lossless=opt_ll,
-        coherent_lossless=coh_ll,
+        optimal_lossless=optimal_tradeoff(lossless, ProbeKind.OPTIMAL),
+        coherent_lossless=optimal_tradeoff(lossless, ProbeKind.COHERENT),
         optimal_lossy=opt_lo,
         coherent_lossy=coh_lo,
-        comparisons=comparison_bounds(config, constants=constants),
-        config=config,
+        comparisons=comparison_bounds(config),
     )

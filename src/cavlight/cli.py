@@ -5,8 +5,9 @@ Configuration is a JSON file validated against a fixed key set; every
 output embeds a provenance block and is byte-identical across reruns
 with the same config and seed.
 
-Exit codes: 0 success, 2 invalid config, 3 regime violation under
---strict, 4 quadrature tolerance failure.
+Exit codes: 0 success, 2 invalid config (including derived quantities
+outside float range), 3 regime violation under --strict, 4 quadrature
+tolerance failure.
 """
 
 from __future__ import annotations
@@ -171,7 +172,10 @@ def _parse_grid(grid: str, slice_spec: str | None) -> GridSpec:
 
 def cmd_bounds(args) -> int:
     config, raw = load_config(args.config)
-    table = table1(config)
+    try:
+        table = table1(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     prov = provenance_block(raw, args.seed)
     if args.format == "text":
         _write(table_to_text(table), args.out)
@@ -216,21 +220,26 @@ def cmd_tradeoff(args) -> int:
     if not (math.isfinite(args.decades) and args.decades > 0):
         raise ConfigError(f"--decades must be a finite positive number, got {args.decades}")
     config, raw = load_config(args.config)
-    params = derive_params(config)
     kind = ProbeKind(args.state)
     formula = CoherentFormula(args.formula)
-    sol = optimal_tradeoff(params, kind, formula)
-    n_values = np.logspace(
-        math.log10(sol.n_opt) - args.decades, math.log10(sol.n_opt) + args.decades, args.points
-    )
-    curves = [
-        (
-            n,
-            qcrb(ProbeState(kind, n, formula), params.tau),
-            abs(backaction(n, params.mode_index, params.kappa)),
-        )
-        for n in n_values
-    ]
+    try:
+        params = derive_params(config)
+        sol = optimal_tradeoff(params, kind, formula)
+        log_n = math.log10(sol.n_opt)
+        lo, hi = log_n - args.decades, log_n + args.decades
+        if not (sys.float_info.min_10_exp <= lo and hi <= sys.float_info.max_10_exp):
+            raise ValueError(f"the sweep 1e{lo:.3g}..1e{hi:.3g} leaves float range; lower --decades")
+        n_values = np.logspace(lo, hi, args.points)
+        curves = [
+            (
+                n,
+                qcrb(ProbeState(kind, n, formula), params.tau),
+                abs(backaction(n, params.mode_index, params.kappa)),
+            )
+            for n in n_values
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     prov = provenance_block(raw, args.seed)
     solution = {
         "state": kind.value,
@@ -285,7 +294,11 @@ def cmd_frequency_shift(args) -> int:
 
 def cmd_validate(args) -> int:
     config, raw = load_config(args.config)
-    report = validate_regime(config, _photon_number(args.n))
+    n = _photon_number(args.n)
+    try:
+        report = validate_regime(config, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     prov = provenance_block(raw, args.seed)
     if args.format == "text":
         lines = list(report.messages)

@@ -300,13 +300,3 @@ def mc_oracle_many(
     stderr = vol * np.sqrt(var / samples)
     return list(zip(mean.tolist(), stderr.tolist()))
 
-
-def mc_oracle(
-    source: SourceFunction,
-    point,
-    samples: int,
-    seed: int = 42,
-    point_index: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) for a single source."""
-    return mc_oracle_many([source], point, samples, seed, point_index)[0]

@@ -85,14 +85,6 @@ def fieldmap_to_json(field: FieldMap, provenance: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_fieldmap_csv(text: str):
-    """Parse a field-map CSV back into (header, rows-array)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    header = tuple(lines[0].split(","))
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return header, data
-
-
 def table_to_json(table: ScalingTable, provenance: dict) -> str:
     entries = {}
     for key, cell in table.entries().items():

@@ -1,7 +1,7 @@
 """Physical constants, experiment configuration, and dimensionless parameters.
 
-Everything downstream works with the dimensionless set (kappa, M, Omega,
-tau, P) derived here from the lab-frame configuration.  All constants are
+Everything downstream works with the dimensionless set (kappa, M, tau,
+P) derived here from the lab-frame configuration.  All constants are
 CODATA 2018; the Planck length is derived, never hard-coded.
 """
 
@@ -35,7 +35,6 @@ class PhysicalConstants:
     G: float = 6.67430e-11
     hbar: float = 1.054571817e-34
     vacuum_permittivity: float = 8.8541878128e-12
-    vacuum_permeability: float = 1.25663706212e-6
     electron_mass: float = 9.1093837015e-31
     elementary_charge: float = 1.602176634e-19
 
@@ -122,17 +121,13 @@ class DimensionlessParams:
     """Dimensionless inputs of every downstream formula.
 
     The per-photon amplitude coefficient is 4*kappa/pi, so the field
-    amplitude for n photons is P = n * p_coefficient.  ``p_exact_factor``
-    is the order-one correction Omega*L/(pi*c) kept out of P by
-    convention (sqrt(2) for the (011) mode).
+    amplitude for n photons is P = n * p_coefficient.
     """
 
     kappa: float
     mode_index: int
-    omega: float
     tau: float
     p_coefficient: float
-    p_exact_factor: float
 
     def __post_init__(self):
         if self.kappa <= 0 or self.tau <= 0 or self.mode_index < 1:
@@ -143,33 +138,33 @@ class DimensionlessParams:
         return n * self.p_coefficient
 
 
-def storage_time(config: ExperimentConfig, constants: PhysicalConstants = CODATA) -> float:
+def storage_time(config: ExperimentConfig) -> float:
     """Photon storage / measurement time in seconds."""
     if config.measurement_time_override is not None:
         return config.measurement_time_override
     if config.finesse is None:
-        return config.cavity_length / constants.c
+        return config.cavity_length / CODATA.c
     if config.time_convention is TimeConvention.PI:
-        return config.cavity_length * config.finesse / (math.pi * constants.c)
-    return config.cavity_length * config.finesse / constants.c
+        return config.cavity_length * config.finesse / (math.pi * CODATA.c)
+    return config.cavity_length * config.finesse / CODATA.c
 
 
-def derive_params(
-    config: ExperimentConfig, constants: PhysicalConstants = CODATA
-) -> DimensionlessParams:
-    """Derive (kappa, M, Omega, tau, P coefficient) from a configuration."""
-    mode = config.resolved_mode
-    length = config.cavity_length
-    kappa = (constants.planck_length / length) ** 2
-    omega = mode_frequency(mode, length, constants.c)
-    tau = omega * storage_time(config, constants)
+def derive_params(config: ExperimentConfig) -> DimensionlessParams:
+    """Derive (kappa, M, tau, P coefficient) from a configuration.
+
+    Raises ValueError when the mode index or kappa leaves float range.
+    """
+    try:
+        mode = config.resolved_mode
+        omega = mode_frequency(mode, config.cavity_length, CODATA.c)
+        kappa = (CODATA.planck_length / config.cavity_length) ** 2
+    except OverflowError as exc:
+        raise ValueError(f"mode index or kappa is outside float range: {exc}") from exc
     return DimensionlessParams(
         kappa=kappa,
         mode_index=mode.l_z,
-        omega=omega,
-        tau=tau,
+        tau=omega * storage_time(config),
         p_coefficient=4.0 * kappa / math.pi,
-        p_exact_factor=omega * length / (math.pi * constants.c),
     )
 
 
@@ -189,19 +184,19 @@ class ValidityReport:
         return self.weak_field_ok and self.nonlinear_qed_ok and self.wavelength_vs_planck_ok
 
 
-def validate_regime(
-    config: ExperimentConfig, n: float, constants: PhysicalConstants = CODATA
-) -> ValidityReport:
+def validate_regime(config: ExperimentConfig, n: float) -> ValidityReport:
     """Check that n photons in this cavity stay in the weak-field,
     linear-electrodynamics regime."""
     if n < 0:
         raise ValueError("photon number must be non-negative")
-    params = derive_params(config, constants)
+    params = derive_params(config)
     margin = n * params.kappa * params.mode_index
     weak_ok = margin < WEAK_FIELD_THRESHOLD
-    min_length = constants.nonlinear_qed_length_scale * (n * params.mode_index) ** 0.25
+    min_length = CODATA.nonlinear_qed_length_scale * (n * params.mode_index) ** 0.25
+    if not (math.isfinite(margin) and math.isfinite(min_length)):
+        raise ValueError(f"n*kappa*M or n*M is outside float range for n = {n:.3g}")
     qed_ok = config.cavity_length > min_length
-    planck_ok = config.wavelength > WAVELENGTH_PLANCK_FACTOR * constants.planck_length
+    planck_ok = config.wavelength > WAVELENGTH_PLANCK_FACTOR * CODATA.planck_length
 
     messages = [
         f"weak-field amplitude n*kappa*M = {margin:.3e} "

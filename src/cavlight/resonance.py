@@ -18,7 +18,7 @@ import numpy as np
 
 from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_point
 from .fields import SRC_UNIT
-from .physical import ExperimentConfig, PhysicalConstants, CODATA, derive_params
+from .physical import ExperimentConfig, derive_params
 
 PI = math.pi
 # Gauss-Legendre orders along the propagation line and per cross-section axis
@@ -69,7 +69,6 @@ def frequency_shift(
     spec: QuadratureSpec = DEFAULT_SPEC,
     convention: LengthConvention = LengthConvention.LIGHT_SIGNAL,
     transverse: str = "center",
-    constants: PhysicalConstants = CODATA,
 ) -> float:
     """Relative resonance-frequency shift delta_omega/omega for n photons.
 
@@ -80,6 +79,6 @@ def frequency_shift(
         raise ValueError("photon number must be non-negative")
     if convention is LengthConvention.RIGID_RODS or n == 0:
         return 0.0
-    params = derive_params(config, constants)
+    params = derive_params(config)
     amplitude = params.amplitude(n) * params.mode_index
     return 0.5 * amplitude * line_average_epsilon(spec, transverse)

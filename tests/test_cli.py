@@ -1,11 +1,14 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavlight.cli import (
     EXIT_CONFIG,
@@ -81,6 +84,51 @@ def test_bool_non_finite_or_out_of_range_config_exits_2(tmp_path, capsys, overri
     assert main([*command, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+# a finite positive float drawn log-uniformly from the subnormals to 1e308
+_positive = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+_configs = st.fixed_dictionaries(
+    {"cavity_length_m": _positive, "wavelength_m": _positive},
+    optional={
+        "finesse": _positive,
+        "measurement_time_s": _positive,
+        "mode": st.integers(1, 2**1100).map(lambda m: [0, 1, m]),
+        "lossy_time_convention": st.sampled_from(["pi", "caption"]),
+    },
+)
+_COMMANDS = (
+    ["bounds"],
+    ["tradeoff"],
+    ["tradeoff", "--state", "coherent"],
+    ["tradeoff", "--state", "coherent", "--formula", "exact"],
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy would print these on stderr
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw=_configs, n=st.one_of(st.just(0.0), _positive))
+# with L = 1 m and lambda = 1e-6 m, a storage time of 1e-300 s underflows
+# 2*tau*kappa*M and one of 1e300 s overflows tau; the tiny cavity has its
+# exact root below the bracket; the huge one has M = 2e306, whose norm
+# overflows; the last keeps tau finite but overflows c*T
+@example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e-300}, n=1e20)
+@example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e300}, n=1e20)
+@example(raw={"cavity_length_m": 1e-30, "wavelength_m": 1e-36}, n=1e20)
+@example(raw={"cavity_length_m": 1e300, "wavelength_m": 1e-6}, n=1e20)
+@example(raw={"cavity_length_m": 10.0, "wavelength_m": 1e-6, "mode": [0, 1, 1], "measurement_time_s": 1e300}, n=1e20)
+def test_closed_form_commands_exit_cleanly_across_float_range(tmp_path_factory, raw, n):
+    path = tmp_path_factory.mktemp("cfg") / "config.json"
+    path.write_text(json.dumps(raw))
+    for command in (*_COMMANDS, ["validate", "--n", repr(n), "--strict"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--config", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_REGIME), (command, code)
+        if code == EXIT_CONFIG:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error:"), (command, lines)
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue(), command
 
 
 def test_bad_time_convention_exits_2(tmp_path):
@@ -231,6 +279,8 @@ def test_field_map_bad_arguments_exit_2(args, capsys):
         ["tradeoff", "--decades", "nan"],
         ["tradeoff", "--decades", "inf"],
         ["tradeoff", "--decades", "0"],
+        # the sweep would reach n = 0
+        ["tradeoff", "--decades", "400"],
     ],
 )
 def test_bad_photon_number_or_tolerance_exits_2(config_path, args, capsys):

@@ -13,7 +13,7 @@ from cavlight.greens import (
     SourceFunction,
     convolve_point,
     kernel,
-    mc_oracle,
+    mc_oracle_many,
 )
 from cavlight.fields import SRC_F1, SRC_UNIT
 
@@ -25,7 +25,7 @@ CENTER = (PI / 2, PI / 2, PI / 2)
 # seeded Monte-Carlo oracle (1e7 samples): 23.4907 +/- 0.0028
 UNIT_CENTER = 23.4904220265
 
-# mc_oracle(SRC_UNIT, CENTER, 100_000, seed=42) frozen for determinism
+# mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42)[0] frozen for determinism
 MC_UNIT_1E5 = (23.47503818225731, 0.028070421068552568)
 
 
@@ -139,23 +139,23 @@ def test_convolve_point_rejects_nonfinite():
 
 
 def test_mc_oracle_is_deterministic():
-    got = mc_oracle(SRC_UNIT, CENTER, 100_000, seed=42, point_index=0)
+    got = mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42, point_index=0)[0]
     assert got[0] == pytest.approx(MC_UNIT_1E5[0], rel=1e-13)
     assert got[1] == pytest.approx(MC_UNIT_1E5[1], rel=1e-13)
     # a different point index gives an independent stream
-    other = mc_oracle(SRC_UNIT, CENTER, 100_000, seed=42, point_index=1)
+    other = mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42, point_index=1)[0]
     assert other[0] != got[0]
 
 
 def test_mc_oracle_rejects_tiny_sample():
     with pytest.raises(ValueError):
-        mc_oracle(SRC_UNIT, CENTER, 10)
+        mc_oracle_many([SRC_UNIT], CENTER, 10)
 
 
 def test_mc_agrees_with_quadrature():
     for i, point in enumerate([CENTER, (10.0, PI / 2, PI / 2), (0.3, 2.0, -0.5)]):
         quad = convolve_point(SRC_F1, point)
-        mean, stderr = mc_oracle(SRC_F1, point, 200_000, seed=42, point_index=i)
+        mean, stderr = mc_oracle_many([SRC_F1], point, 200_000, seed=42, point_index=i)[0]
         assert abs(quad.value - mean) < 4.0 * stderr
 
 

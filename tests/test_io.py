@@ -14,7 +14,6 @@ from cavlight.io import (
     fieldmap_to_csv,
     fieldmap_to_json,
     fmt,
-    parse_fieldmap_csv,
     provenance_block,
     round9,
     table_to_json,
@@ -23,6 +22,14 @@ from cavlight.io import (
 from cavlight.physical import ExperimentConfig
 
 DEFAULT = ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4)
+
+
+def parse_fieldmap_csv(text: str):
+    """Parse a field-map CSV back into (header, rows-array)."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    header = tuple(lines[0].split(","))
+    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    return header, data
 
 
 def _tiny_field():

@@ -9,7 +9,6 @@ from cavlight.physical import (
     CODATA,
     DimensionlessParams,
     ExperimentConfig,
-    PhysicalConstants,
     TimeConvention,
     derive_params,
     storage_time,
@@ -102,31 +101,31 @@ def test_derive_params_relations():
     assert params.kappa == pytest.approx((CODATA.planck_length / length) ** 2, rel=1e-12)
     assert params.mode_index == mode.l_z
     omega = CODATA.c * math.pi / length * mode.index_norm
-    assert params.omega == pytest.approx(omega, rel=1e-12)
     assert params.tau == pytest.approx(omega * storage_time(DEFAULT), rel=1e-12)
     assert params.p_coefficient == pytest.approx(4.0 * params.kappa / math.pi, rel=1e-12)
     # amplitude is linear in n
     assert params.amplitude(3.0) == pytest.approx(3.0 * params.amplitude(1.0), rel=1e-15)
 
 
-def test_p_exact_factor_is_sqrt2_for_011():
-    config = ExperimentConfig(
-        cavity_length=1.0, wavelength=1e-6, mode=ModeIndices(0, 1, 1)
-    )
-    params = derive_params(config)
-    # Omega L / (pi c) = |k| L / pi = sqrt(2) for the (0,1,1) mode
-    assert params.p_exact_factor == pytest.approx(math.sqrt(2.0), rel=1e-12)
+def test_derive_params_rejects_values_outside_float_range():
+    for config in [
+        # M = 2e306, whose squared norm overflows
+        ExperimentConfig(cavity_length=1e300, wavelength=1e-6),
+        # 2L/lambda overflows before it is rounded
+        ExperimentConfig(cavity_length=1e300, wavelength=1e-10),
+        ExperimentConfig(cavity_length=1.0, wavelength=1e-6, mode=ModeIndices(0, 1, 10**200)),
+        # (l_Pl/L)^2 overflows
+        ExperimentConfig(cavity_length=1e-200, wavelength=1e-205),
+    ]:
+        with pytest.raises(ValueError, match="float range"):
+            derive_params(config)
 
 
 def test_invalid_dimensionless_params():
     with pytest.raises(ValueError):
-        DimensionlessParams(
-            kappa=-1.0, mode_index=1, omega=1.0, tau=1.0, p_coefficient=1.0, p_exact_factor=1.0
-        )
+        DimensionlessParams(kappa=-1.0, mode_index=1, tau=1.0, p_coefficient=1.0)
     with pytest.raises(ValueError):
-        DimensionlessParams(
-            kappa=1.0, mode_index=0, omega=1.0, tau=1.0, p_coefficient=1.0, p_exact_factor=1.0
-        )
+        DimensionlessParams(kappa=1.0, mode_index=0, tau=1.0, p_coefficient=1.0)
 
 
 def test_validate_regime_weak_field_flag():
@@ -152,8 +151,3 @@ def test_validate_regime_rejects_negative_n():
     with pytest.raises(ValueError):
         validate_regime(DEFAULT, -1.0)
 
-
-def test_custom_constants_propagate():
-    slow = PhysicalConstants(c=1.0)
-    config = ExperimentConfig(cavity_length=1000.0, wavelength=500e-9)
-    assert storage_time(config, slow) == pytest.approx(1000.0)
