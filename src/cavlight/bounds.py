@@ -51,7 +51,9 @@ def qcrb(state: ProbeState, tau: float) -> float:
         root_f = tau * math.sqrt(n)
     else:
         s = math.sin(tau)
-        root_f = math.sqrt(abs((0.5 + n) * s * s + n * tau * (tau + math.sin(2.0 * tau))))
+        # sin of an infinite 2*tau raises; NaN falls to the range check below
+        s2 = math.sin(2.0 * tau) if 2.0 * tau < math.inf else math.nan
+        root_f = math.sqrt(abs((0.5 + n) * s * s + n * tau * (tau + s2)))
     if not 0.0 < root_f < math.inf or 0.5 / root_f == math.inf:
         raise ValueError(f"delta_c/c at n={n:.3g}, tau={tau:.3g} is outside float range")
     return 0.5 / root_f

@@ -16,13 +16,14 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
 from .fieldmap import GridSpec
-from .fields import MIN_LARGE_M, metric_grid
+from .fields import MAX_LARGE_M, MIN_LARGE_M, metric_grid
 from .greens import QuadratureSpec, SingularKernelError, kernel
 from .io import (
     fieldmap_to_csv,
@@ -106,6 +107,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
             mode=mode,
             time_convention=convention,
         )
+        derive_params(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, raw
@@ -197,6 +199,8 @@ def cmd_field_map(args) -> int:
         raise ConfigError("mode 01m needs --big-m or a config with a mode")
     if big_m is not None and big_m < MIN_LARGE_M:
         raise ConfigError(f"mode 01m needs M >= {MIN_LARGE_M}, got {big_m}")
+    if big_m is not None and big_m > MAX_LARGE_M:
+        raise ConfigError(f"mode 01m needs M <= {MAX_LARGE_M:.0e}, beyond which the metric leaves float range")
     if args.threads < 0:
         raise ConfigError("--threads must be 0 (auto) or a positive worker count")
     try:
@@ -271,13 +275,16 @@ def cmd_tradeoff(args) -> int:
 def cmd_frequency_shift(args) -> int:
     config, raw = load_config(args.config)
     spec = _quadrature_spec(args.tolerance)
+    n = _photon_number(args.n)
     shift = frequency_shift(
         config,
-        _photon_number(args.n),
+        n,
         spec,
         convention=LengthConvention(args.convention),
         transverse=args.transverse,
     )
+    if shift == math.inf:
+        raise ConfigError(f"delta_omega/omega is outside float range for n = {n:.3g}")
     prov = provenance_block(raw, args.seed)
     if args.format == "text":
         _write(f"delta_omega/omega = {fmt(shift)}\n", args.out)
@@ -399,13 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Warnings raised while it runs are printed as
+    ``warning:`` lines after it, except on exit 2, whose one line is the
+    ``config error:``; filters that turn a warning into an error still do."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except ConfigError as exc:
+            sys.stderr.write(f"config error: {exc}\n")
+            return EXIT_CONFIG
+    for w in caught:
+        sys.stderr.write(f"warning: {w.message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,20 +59,20 @@ class GridSpec:
 
 @dataclass
 class FieldMap:
-    """Named component arrays on a grid, with provenance and error estimates.
+    """Named component arrays on a grid, with error estimates.
 
-    Components are dimensionless, in units of the amplitude P (tagged in
-    ``units``).  ``errors`` bounds the absolute quadrature error of each
-    component at a node; ``converged`` flags nodes where the target
-    tolerance was reached.
+    Components are dimensionless, in units of the amplitude P.  ``errors``
+    bounds the absolute quadrature error of each component at a node;
+    ``converged`` flags nodes where the target tolerance was reached.
+    ``big_m`` of None means the (0,1,1) mode, an integer M the large-M
+    (0,1,M) mode.
     """
 
     grid: GridSpec
     components: dict[str, np.ndarray]
     errors: np.ndarray
     converged: np.ndarray
-    units: str = "per-P"
-    provenance: dict = field(default_factory=dict)
+    big_m: int | None = None
 
     def __post_init__(self):
         shape = self.grid.shape
@@ -81,8 +81,6 @@ class FieldMap:
                 raise ValueError(f"component {name!r} shape {arr.shape} != grid {shape}")
         if self.errors.shape != shape or self.converged.shape != shape:
             raise ValueError("error/convergence array shape does not match grid")
-        if not self.units:
-            raise ValueError("units tag is required")
 
     @property
     def all_converged(self) -> bool:

@@ -11,12 +11,12 @@ import hashlib
 import json
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .bounds import ScalingTable
 from .fieldmap import FieldMap
 
+# every field map is in units of the amplitude P
+UNITS = "per-P"
 CSV_COLUMNS = ("xi", "eta", "zeta", "h00", "h11", "h22", "h33", "h23", "dcx", "dcy", "dcz", "err")
 
 
@@ -43,21 +43,14 @@ def provenance_block(config_dict: dict | None, seed: int) -> dict[str, Any]:
 
 
 def _fieldmap_rows(field: FieldMap):
-    pts = field.grid.points()
-    shape = field.grid.shape
-    cols = []
-    for name in CSV_COLUMNS[3:-1]:
-        arr = field.components.get(name)
-        if arr is None:
-            arr = np.zeros(shape)
-        cols.append(arr.reshape(-1))
+    cols = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]]
     cols.append(field.errors.reshape(-1))
-    return pts, cols
+    return field.grid.points(), cols
 
 
 def fieldmap_to_csv(field: FieldMap, provenance: dict) -> str:
     lines = [f"# {key}: {value}" for key, value in sorted(provenance.items())]
-    lines += [f"# units: {field.units}", ",".join(CSV_COLUMNS)]
+    lines += [f"# units: {UNITS}", ",".join(CSV_COLUMNS)]
     pts, cols = _fieldmap_rows(field)
     for i in range(len(pts)):
         row = [fmt(pts[i, 0]), fmt(pts[i, 1]), fmt(pts[i, 2])]
@@ -70,7 +63,7 @@ def fieldmap_to_json(field: FieldMap, provenance: dict) -> str:
     pts, cols = _fieldmap_rows(field)
     payload: dict[str, Any] = {
         "provenance": provenance,
-        "units": field.units,
+        "units": UNITS,
         "grid": {
             "xi": list(field.grid.xi),
             "eta": list(field.grid.eta),

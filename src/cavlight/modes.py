@@ -88,17 +88,13 @@ class StressTensor:
 
     Values are relative to n*hbar*Omega/V.  Pure functions of (eta, zeta);
     there is no xi dependence inside the cavity, and the tensor vanishes
-    outside.
+    outside.  ``big_m`` of None selects the (0,1,1) mode, an integer
+    M >= 2 the large-M (0,1,M) form.
     """
 
-    MODE_011 = "mode011"
-    MODE_01M = "mode01M"
-
-    def __init__(self, kind: str, big_m: int | None = None):
-        if kind not in (self.MODE_011, self.MODE_01M):
-            raise ValueError(f"unknown stress-tensor kind {kind!r}")
-        if kind == self.MODE_01M:
-            if big_m is None or big_m < 2:
+    def __init__(self, big_m: int | None = None):
+        if big_m is not None:
+            if big_m < 2:
                 raise ValueError("large-M stress tensor requires M >= 2")
             if big_m < LARGE_M_WARN_THRESHOLD:
                 warnings.warn(
@@ -106,7 +102,6 @@ class StressTensor:
                     f"corrections are of order 1/M",
                     stacklevel=2,
                 )
-        self.kind = kind
         self.big_m = big_m
 
     def component(self, mu: int, nu: int, eta, zeta):
@@ -116,7 +111,7 @@ class StressTensor:
         eta = np.asarray(eta, dtype=float)
         zeta = np.asarray(zeta, dtype=float)
         key = (min(mu, nu), max(mu, nu))
-        if self.kind == self.MODE_011:
+        if self.big_m is None:
             table = {
                 (0, 0): f1,
                 (1, 1): f2,
@@ -155,7 +150,7 @@ class StressTensor:
         eta = np.asarray(eta, dtype=float)
         zeta = np.asarray(zeta, dtype=float)
         zero = np.zeros(np.broadcast(eta, zeta).shape)
-        if self.kind == self.MODE_011:
+        if self.big_m is None:
             # row 1: t11 is xi-independent and t12 = t13 = 0
             d_eta_f3 = -2.0 * np.sin(2.0 * eta) * np.cos(2.0 * zeta)
             d_zeta_f4 = 2.0 * np.sin(2.0 * eta) * np.cos(2.0 * zeta)
@@ -171,9 +166,9 @@ class StressTensor:
 
 def stress_components_011() -> StressTensor:
     """Stress tensor of the (0,1,1) mode."""
-    return StressTensor(StressTensor.MODE_011)
+    return StressTensor()
 
 
 def stress_components_01M(big_m: int) -> StressTensor:
     """Large-M stress tensor of the (0,1,M) mode; rejects M < 2."""
-    return StressTensor(StressTensor.MODE_01M, big_m=big_m)
+    return StressTensor(big_m)

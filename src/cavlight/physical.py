@@ -118,24 +118,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """Dimensionless inputs of every downstream formula.
-
-    The per-photon amplitude coefficient is 4*kappa/pi, so the field
-    amplitude for n photons is P = n * p_coefficient.
-    """
+    """Dimensionless inputs of every downstream formula."""
 
     kappa: float
     mode_index: int
     tau: float
-    p_coefficient: float
 
     def __post_init__(self):
         if self.kappa <= 0 or self.tau <= 0 or self.mode_index < 1:
             raise ValueError("invalid dimensionless parameters")
 
     def amplitude(self, n: float) -> float:
-        """P for n photons."""
-        return n * self.p_coefficient
+        """P = 4*n*kappa/pi for n photons."""
+        return n * (4.0 * self.kappa / math.pi)
 
 
 def storage_time(config: ExperimentConfig) -> float:
@@ -150,7 +145,7 @@ def storage_time(config: ExperimentConfig) -> float:
 
 
 def derive_params(config: ExperimentConfig) -> DimensionlessParams:
-    """Derive (kappa, M, tau, P coefficient) from a configuration.
+    """Derive (kappa, M, tau) from a configuration.
 
     Raises ValueError when the mode index or kappa leaves float range.
     """
@@ -164,7 +159,6 @@ def derive_params(config: ExperimentConfig) -> DimensionlessParams:
         kappa=kappa,
         mode_index=mode.l_z,
         tau=omega * storage_time(config),
-        p_coefficient=4.0 * kappa / math.pi,
     )
 
 

@@ -60,7 +60,8 @@ def line_average_epsilon(spec: QuadratureSpec = DEFAULT_SPEC, transverse: str = 
     for eta0, zeta0, wt in trans:
         for xi, wx in zip(xs, ws):
             total += wt * wx * epsilon_point((xi, eta0, zeta0), spec).value
-    return total
+    # a Python float, so a shift that overflows is inf without a numpy warning
+    return float(total)
 
 
 def frequency_shift(

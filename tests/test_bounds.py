@@ -128,7 +128,7 @@ def test_coherent_exact_root_balances_noise_and_backaction(measurement_time, n_o
 def test_tradeoff_outside_float_range_raises_value_error():
     # 2*tau*kappa*M underflows to 0 and overflows to inf
     for kappa, tau in [(1e-300, 1e-300), (1e300, 1e300)]:
-        params = DimensionlessParams(kappa=kappa, mode_index=1, tau=tau, p_coefficient=1.0)
+        params = DimensionlessParams(kappa=kappa, mode_index=1, tau=tau)
         for kind, formula in [
             (ProbeKind.OPTIMAL, CoherentFormula.ASYMPTOTIC),
             (ProbeKind.COHERENT, CoherentFormula.ASYMPTOTIC),
@@ -139,6 +139,9 @@ def test_tradeoff_outside_float_range_raises_value_error():
     # tau * n underflows, so the bound itself would be infinite
     with pytest.raises(ValueError, match="float range"):
         qcrb(ProbeState(ProbeKind.OPTIMAL, 1e-300), 1e-30)
+    # 2*tau overflows, so sin(2*tau) in the exact coherent formula has no value
+    with pytest.raises(ValueError, match="outside float range"):
+        qcrb(ProbeState(ProbeKind.COHERENT, 1.0, CoherentFormula.EXACT), 1.3e308)
 
 
 def test_table1_frozen_values():
@@ -199,6 +202,6 @@ def test_root_bracket_failure_reports_endpoints():
     # a tiny tau keeps the coherent exact bound above the back-action
     # over the whole bracket only in pathological cases; instead check
     # that the solver validates its bracket by using absurd parameters
-    params = DimensionlessParams(kappa=1.0, mode_index=1, tau=1.0, p_coefficient=4.0 / math.pi)
+    params = DimensionlessParams(kappa=1.0, mode_index=1, tau=1.0)
     with pytest.raises(ValueError, match="bracket"):
         optimal_tradeoff(params, ProbeKind.COHERENT, CoherentFormula.EXACT)

@@ -75,6 +75,8 @@ def test_bad_mode_exits_2(tmp_path):
         ({"measurement_time_s": math.inf}, ["bounds"]),
         # a config mode below fields.MIN_LARGE_M
         ({"mode": [0, 1, 3]}, ["field-map", "--mode", "01m", "--grid", "2"]),
+        # M = round(2L/lambda) overflows
+        ({"cavity_length_m": 1e308}, ["field-map", "--mode", "01m", "--grid", "2"]),
     ],
 )
 def test_bool_non_finite_or_out_of_range_config_exits_2(tmp_path, capsys, overrides, command):
@@ -111,16 +113,19 @@ _COMMANDS = (
 # with L = 1 m and lambda = 1e-6 m, a storage time of 1e-300 s underflows
 # 2*tau*kappa*M and one of 1e300 s overflows tau; the tiny cavity has its
 # exact root below the bracket; the huge one has M = 2e306, whose norm
-# overflows; the last keeps tau finite but overflows c*T
+# overflows; the next keeps tau finite but overflows c*T; the sub-Planck
+# cavity keeps n*kappa*M finite but overflows the frequency shift
 @example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e-300}, n=1e20)
 @example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e300}, n=1e20)
 @example(raw={"cavity_length_m": 1e-30, "wavelength_m": 1e-36}, n=1e20)
 @example(raw={"cavity_length_m": 1e300, "wavelength_m": 1e-6}, n=1e20)
 @example(raw={"cavity_length_m": 10.0, "wavelength_m": 1e-6, "mode": [0, 1, 1], "measurement_time_s": 1e300}, n=1e20)
+@example(raw={"cavity_length_m": 1e-100, "wavelength_m": 1e-106}, n=1e171)
 def test_closed_form_commands_exit_cleanly_across_float_range(tmp_path_factory, raw, n):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
     path.write_text(json.dumps(raw))
-    for command in (*_COMMANDS, ["validate", "--n", repr(n), "--strict"]):
+    # frequency-shift runs its quadrature once per process; the result is cached
+    for command in (*_COMMANDS, ["validate", "--n", repr(n), "--strict"], ["frequency-shift", "--n", repr(n)]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*command, "--config", str(path)])
@@ -257,6 +262,10 @@ def test_bad_grid_spec_exits_2(capsys):
         ["--grid", "3", "--slice", "xi=foo"],
         ["--grid", "3", "--threads", "-1"],
         ["--mode", "01m", "--big-m", "3", "--grid", "2"],
+        # M * h_tilde would leave float range, or M itself would
+        ["--mode", "01m", "--big-m", str(10**306 + 1), "--grid", "2"],
+        ["--mode", "01m", "--big-m", str(10**308), "--grid", "2"],
+        ["--mode", "01m", "--big-m", str(10**310), "--grid", "2"],
     ],
 )
 def test_field_map_bad_arguments_exit_2(args, capsys):
@@ -363,6 +372,48 @@ def test_tradeoff_solution_and_sweep(config_path, tmp_path):
     q = payload["curves"]["qcrb"]
     b = payload["curves"]["backaction_abs"]
     assert q[0] > b[0] and q[-1] < b[-1]
+
+
+def _run_cli(tmp_path, raw, args):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return subprocess.run(
+        [sys.executable, "-m", "cavlight.cli", *args, "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+
+
+# in-process runs cannot show what a shell sees, because pytest records
+# warnings itself; lambda/L = 0.5 sets off the wavelength warning
+@pytest.mark.parametrize(
+    "raw, args",
+    [
+        ({"cavity_length_m": 1.0, "wavelength_m": 0.5, "measurement_time_s": 1e-300}, ["bounds"]),
+        ({"cavity_length_m": 1e300, "wavelength_m": 1e-6}, ["frequency-shift", "--n", "1e20"]),
+        ({"cavity_length_m": 1e308, "wavelength_m": 1e-6}, ["field-map", "--mode", "01m", "--grid", "2"]),
+        ({"cavity_length_m": 1.0, "wavelength_m": 1e-6}, ["field-map", "--mode", "01m", "--big-m", str(10**308)]),
+        (
+            {"cavity_length_m": 10.0, "wavelength_m": 1e-6, "mode": [0, 1, 1], "measurement_time_s": 1e300},
+            ["tradeoff", "--state", "coherent", "--formula", "exact"],
+        ),
+    ],
+)
+def test_exit_2_prints_one_stderr_line_from_a_shell(tmp_path, raw, args):
+    proc = _run_cli(tmp_path, raw, args)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert proc.stdout == ""
+
+
+def test_warning_printed_as_one_line_on_success(tmp_path):
+    proc = _run_cli(tmp_path, {"cavity_length_m": 1.0, "wavelength_m": 0.5}, ["bounds"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: wavelength is not small compared to the cavity length; "
+        "the high-index mode picture may not apply"
+    ]
 
 
 def test_installed_entry_point_version():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from cavlight.modes import (
     ModeIndices,
-    StressTensor,
     f1,
     f2,
     f3,
@@ -80,8 +79,6 @@ def test_stress_011_divergence_free_interior():
 
 
 def test_stress_kind_validation():
-    with pytest.raises(ValueError):
-        StressTensor("bogus")
     with pytest.raises(ValueError):
         stress_components_01M(1)
 

@@ -102,7 +102,7 @@ def test_derive_params_relations():
     assert params.mode_index == mode.l_z
     omega = CODATA.c * math.pi / length * mode.index_norm
     assert params.tau == pytest.approx(omega * storage_time(DEFAULT), rel=1e-12)
-    assert params.p_coefficient == pytest.approx(4.0 * params.kappa / math.pi, rel=1e-12)
+    assert params.amplitude(1.0) == pytest.approx(4.0 * params.kappa / math.pi, rel=1e-12)
     # amplitude is linear in n
     assert params.amplitude(3.0) == pytest.approx(3.0 * params.amplitude(1.0), rel=1e-15)
 
@@ -123,9 +123,9 @@ def test_derive_params_rejects_values_outside_float_range():
 
 def test_invalid_dimensionless_params():
     with pytest.raises(ValueError):
-        DimensionlessParams(kappa=-1.0, mode_index=1, tau=1.0, p_coefficient=1.0)
+        DimensionlessParams(kappa=-1.0, mode_index=1, tau=1.0)
     with pytest.raises(ValueError):
-        DimensionlessParams(kappa=1.0, mode_index=0, tau=1.0, p_coefficient=1.0)
+        DimensionlessParams(kappa=1.0, mode_index=0, tau=1.0)
 
 
 def test_validate_regime_weak_field_flag():

@@ -79,5 +79,5 @@ def test_frequency_shift_magnitude():
     # shift = (2 n kappa M / pi) * line-average
     params = derive_params(CONFIG)
     n = 1e20
-    expected = 0.5 * n * params.p_coefficient * params.mode_index * LINE_AVG_CENTER
+    expected = 0.5 * params.amplitude(n) * params.mode_index * LINE_AVG_CENTER
     assert frequency_shift(CONFIG, n) == pytest.approx(expected, rel=1e-6)
