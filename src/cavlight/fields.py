@@ -11,15 +11,13 @@ verifies the solution against -4*pi times its source.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import modes
 from .fieldmap import FieldMap, GridSpec
-from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction, convolve_point
+from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction, convolve_point, convolve_points
 
 PI = math.pi
 
@@ -35,7 +33,8 @@ def _unit(eta, zeta):
 
 
 def _four_sin2_eta(eta, zeta):
-    return 4.0 * np.sin(eta) ** 2 + np.zeros(np.broadcast(eta, zeta).shape)
+    # depends on eta only; broadcasts against zeta wherever it is used
+    return 4.0 * np.sin(eta) ** 2
 
 
 SRC_UNIT = SourceFunction(_unit, "unit")
@@ -112,17 +111,7 @@ def g_integrals(point, spec: QuadratureSpec = DEFAULT_SPEC) -> GIntegrals:
 
 def metric_011(point, spec: QuadratureSpec = DEFAULT_SPEC) -> MetricPerturbation:
     """Metric perturbation of the (011) mode at a point, per unit P."""
-    g = g_integrals(point, spec)
-    return MetricPerturbation(
-        h00=0.5 * (g.g1 + g.g2 + g.g3 + g.g3_tilde),
-        h11=0.5 * (g.g1 + g.g2 - g.g3 - g.g3_tilde),
-        h22=0.5 * (g.g1 - g.g2 + g.g3 - g.g3_tilde),
-        h33=0.5 * (g.g1 - g.g2 + g.g3_tilde - g.g3),
-        h23=g.g4,
-        # h00..h33 each sum four g integrals with weight 1/2
-        error=2.0 * g.error,
-        converged=g.converged,
-    )
+    return _metric_point(point, None, spec)
 
 
 def h_tilde(point, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
@@ -134,19 +123,7 @@ def metric_01M(
     point, big_m: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> MetricPerturbation:
     """Large-M metric perturbation at a point, per unit P (M multiplied in)."""
-    if big_m < MIN_LARGE_M:
-        raise ValueError(f"large-M metric requires M >= {MIN_LARGE_M}")
-    r = h_tilde(point, spec)
-    h = big_m * r.value
-    return MetricPerturbation(
-        h00=h,
-        h11=0.0,
-        h22=0.0,
-        h33=h,
-        h23=0.0,
-        error=big_m * r.error,
-        converged=r.converged,
-    )
+    return _metric_point(point, big_m, spec)
 
 
 def lightspeed_field(metric: MetricPerturbation):
@@ -162,17 +139,34 @@ def lightspeed_field(metric: MetricPerturbation):
     )
 
 
-def _metric_chunk(args):
-    pts, big_m, spec = args
-    n_cols = 7  # five components + error + converged
-    out = np.empty((len(pts), n_cols))
-    for i, p in enumerate(pts):
-        if big_m is None:
-            m = metric_011(p, spec)
-        else:
-            m = metric_01M(p, big_m, spec)
-        out[i] = (m.h00, m.h11, m.h22, m.h33, m.h23, m.error, float(m.converged))
-    return out
+def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threads: int) -> np.ndarray:
+    """(h00, h11, h22, h33, h23, error, converged) per point, one row each."""
+    if big_m is None:
+        r = convolve_points(_SRC_G, pts, spec, threads)
+        g1, g2, g3, g3_tilde, g4 = r.value.T
+        columns = (
+            0.5 * (g1 + g2 + g3 + g3_tilde),
+            0.5 * (g1 + g2 - g3 - g3_tilde),
+            0.5 * (g1 - g2 + g3 - g3_tilde),
+            0.5 * (g1 - g2 + g3_tilde - g3),
+            g4,
+        )
+        # h00..h33 each sum four g integrals with weight 1/2
+        error = 2.0 * r.error
+    else:
+        if big_m < MIN_LARGE_M:
+            raise ValueError(f"large-M metric requires M >= {MIN_LARGE_M}")
+        r = convolve_points(SRC_LARGE_M, pts, spec, threads)
+        h = big_m * r.value
+        zero = np.zeros(len(pts))
+        columns = (h, zero, zero, h, zero)
+        error = big_m * r.error
+    return np.column_stack([*columns, error, r.converged])
+
+
+def _metric_point(point, big_m: int | None, spec: QuadratureSpec) -> MetricPerturbation:
+    *components, error, converged = _metric_rows(np.array([point], dtype=float), big_m, spec, 1)[0].tolist()
+    return MetricPerturbation(*components, error=error, converged=bool(converged))
 
 
 def _mirrored(values: np.ndarray) -> bool:
@@ -228,21 +222,12 @@ def metric_grid(
     sign under the last two), and the (011) field under eta <-> zeta
     (h22 and h33 trade places), so an axis symmetric about pi/2 is
     folded in half, and equal eta and zeta axes are folded once more.
-    Node order is fixed, so output is bit-identical for any worker count.
+    The distinct nodes go through convolve_points in node order, so
+    output is bit-identical for any worker count.
     """
     swap = big_m is None and np.array_equal(grid.axis_values(1), grid.axis_values(2))
     nodes, inverse, odd, swapped = _fold(grid, swap)
-    pts = grid.points()[nodes]
-    workers = os.cpu_count() or 1 if threads == 0 else threads
-    if workers > 1 and len(pts) > 8:
-        n_chunks = min(len(pts), workers * 4)
-        chunks = np.array_split(pts, n_chunks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_metric_chunk, [(c, big_m, spec) for c in chunks]))
-        flat = np.concatenate(parts)
-    else:
-        flat = _metric_chunk((pts, big_m, spec))
-    flat = flat[inverse]
+    flat = _metric_rows(grid.points()[nodes], big_m, spec, threads)[inverse]
     # 0 - h rather than -h keeps an exact zero (all of large-M h23) from
     # becoming -0, which the CSV would print as "-0"
     flat[odd, 4] = 0.0 - flat[odd, 4]

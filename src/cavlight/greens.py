@@ -9,7 +9,9 @@ The kernel has an integrable logarithmic singularity on the line
 rho = 0, xi in [0, pi].  When the evaluation point projects into the
 source square, the domain is split into four rectangles meeting at the
 projection, so the singularity sits at panel corners where adaptive
-dyadic refinement of tensor Gauss panels handles it.
+dyadic refinement of tensor Gauss panels handles it.  Many evaluation
+points are refined together in batches; each point's result is the
+same as if it were refined alone.
 
 A plain Monte-Carlo estimator of the same integral serves as an
 independent verification oracle.
@@ -18,6 +20,7 @@ independent verification oracle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -56,7 +59,13 @@ _MAX_ACTIVE_PANELS = 4096
 
 @dataclass(frozen=True)
 class SourceFunction:
-    """Bounded scalar source over the transverse square, with a label."""
+    """Bounded source over the transverse square, with a label.
+
+    It is called with eta and zeta arrays that broadcast against each
+    other, such as (n, 1, P) and (n, P), and returns values that
+    broadcast to their common shape, optionally with a trailing
+    component axis.
+    """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
@@ -66,26 +75,47 @@ class SourceFunction:
 
 
 class QuadResult(NamedTuple):
+    """One point's result; from convolve_points, one array entry per point."""
+
     value: float | np.ndarray
     error: float
     converged: bool
 
 
+def _stable_sum(x, rho2, s):
+    """x + s for s = sqrt(x^2 + rho2), written into s.
+
+    Where x < 0 the sum is rearranged as rho2 / (s - x) to avoid
+    cancellation.  Only the branch each entry needs is computed unless x
+    mixes signs.
+    """
+    positive = x >= 0.0
+    if positive.all():
+        np.add(x, s, out=s)
+    elif not positive.any():
+        np.subtract(s, x, out=s)
+        np.divide(rho2, s, out=s)
+    else:
+        s[...] = np.where(positive, x + s, rho2 / (s - x))
+    return s
+
+
 def _kernel_arrays(xi, eta, zeta):
-    """Vectorized kernel without singularity checks."""
+    """Vectorized kernel without singularity checks.
+
+    The arguments broadcast against each other; separable eta and zeta
+    offsets of shapes (n, 1, P) and (1, n, P) are squared before they
+    are broadcast.
+    """
     xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    rho2 = eta * eta + zeta * zeta
+    rho2 = np.square(eta, dtype=float) + np.square(zeta, dtype=float)
     u = xi - PI
-    s0 = np.sqrt(xi * xi + rho2)
-    s1 = np.sqrt(u * u + rho2)
-    # rearranged to avoid cancellation: x + sqrt(x^2 + rho^2) is computed
-    # as rho^2 / (sqrt(...) - x) when x < 0
+    num = np.asarray(xi * xi + rho2)
+    den = np.asarray(u * u + rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.where(xi >= 0.0, xi + s0, rho2 / (s0 - xi))
-        den = np.where(u >= 0.0, u + s1, rho2 / (s1 - u))
-        out = np.log(num / den)
+        _stable_sum(xi, rho2, np.sqrt(num, out=num))
+        _stable_sum(u, rho2, np.sqrt(den, out=den))
+        out = np.log(np.divide(num, den, out=num), out=num)
         # on the axis rho = 0 outside the segment both branches vanish;
         # substitute the finite limit ln((pi - xi)/(-xi)) resp. ln(xi/(xi - pi))
         axis = rho2 == 0.0
@@ -119,47 +149,92 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
-def _panel_values(integrand, rects, nodes, weights):
+# integrand points evaluated per call: it bounds the temporaries of a
+# batch however many panels it refines, and keeps them in cache
+_CHUNK_POINTS = 2**13
+
+
+def _panel_values(integrand, rects, owner, nodes, weights):
     """Tensor Gauss values of a batch of rectangles; rects is (4, P).
 
-    The integrand may carry a trailing component axis after the (P, n, n)
-    node axes; the result is then (P, components).
+    The integrand gets the separable node axes eta (n, 1, P) and
+    zeta (1, n, P), with panels last, and the node id of each panel.  It
+    returns (n, n, P) values, optionally with a trailing component axis;
+    the result is then (P, components).
     """
-    a0, a1, b0, b1 = rects
-    wa = (a1 - a0)[:, None, None]
-    wb = (b1 - b0)[:, None, None]
-    eta = a0[:, None, None] + wa * nodes[None, :, None]
-    zeta = b0[:, None, None] + wb * nodes[None, None, :]
-    eta, zeta = np.broadcast_arrays(eta, zeta)
-    vals = np.einsum("pij...,i,j->p...", integrand(eta, zeta), weights, weights)
-    return (vals.T * (a1 - a0) * (b1 - b0)).T
+    step = max(1, _CHUNK_POINTS // len(nodes) ** 2)
+    parts = []
+    for s in range(0, rects.shape[1], step):
+        a0, a1, b0, b1 = rects[:, s : s + step]
+        eta = a0 + (a1 - a0) * nodes[:, None, None]
+        zeta = b0 + (b1 - b0) * nodes[:, None]  # (n, P), which broadcasts as (1, n, P)
+        vals = np.einsum("ijp...,i,j->p...", integrand(eta, zeta, owner[s : s + step]), weights, weights)
+        parts.append((vals.T * (a1 - a0) * (b1 - b0)).T)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _component_max(panel_values):
-    """Largest component magnitude per panel."""
-    if panel_values.ndim == 1:
-        return np.abs(panel_values)
-    return np.abs(panel_values).max(axis=1)
+def _runs(owner):
+    """Start of each run of equal ids in a sorted owner array."""
+    edge = np.empty(len(owner), dtype=bool)
+    edge[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
 
 
-def _adaptive(integrand, rects, spec: QuadratureSpec) -> QuadResult:
-    """Adaptive dyadic refinement over an initial (4, P) array of rectangles.
+def _add_by_node(value, error, owner, vals, errs):
+    """Add node-sorted panel values and errors to their nodes' totals."""
+    starts = _runs(owner)
+    ids = owner[starts]
+    value[ids] += np.add.reduceat(vals, starts, axis=0)
+    error[ids] += np.add.reduceat(errs, starts)
+
+
+def _cap_panels(value, error, owner, vals, carried):
+    """Keep at most _MAX_ACTIVE_PANELS active panels per node.
+
+    A node over the cap accepts its smallest-error panels at their
+    current estimate.  Returns the indices of the panels that stay.
+    """
+    ends = np.cumsum(np.bincount(owner)).tolist()
+    keep = []
+    for node, (s, e) in enumerate(zip([0] + ends[:-1], ends)):
+        if e - s <= _MAX_ACTIVE_PANELS:
+            keep.append(np.arange(s, e))
+            continue
+        order = s + np.argsort(carried[s:e])
+        cut = e - s - _MAX_ACTIVE_PANELS
+        value[node] += vals[order[:cut]].sum(axis=0)
+        error[node] += carried[order[:cut]].sum()
+        keep.append(order[cut:])
+    return np.concatenate(keep)
+
+
+def _adaptive(integrand, rects, owner, spec: QuadratureSpec) -> QuadResult:
+    """Adaptive dyadic refinement of a batch of nodes at once.
+
+    ``rects`` is a (4, P) array of initial rectangles and ``owner`` the
+    sorted node id 0..N-1 of each; the result holds arrays with one entry
+    per node.  Panels stay sorted by node, and every per-node quantity
+    (area, scale, threshold, panel cap, error) is kept per node, so a
+    node's result does not depend on the nodes that share its batch.
 
     All components of a vector integrand share one set of panels.  A
     panel is accepted when the largest component discrepancy between its
     one-panel value and the sum of its four children is below a share of
-    the global tolerance, rel_tol times the largest component magnitude,
+    the node's tolerance, rel_tol times its largest component magnitude,
     proportional to sqrt(panel area).  ``error`` sums the accepted
     discrepancies, so it bounds the error of every component, and
     ``converged`` is exactly error <= rel_tol * max |value|.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
-    total_area = float(((rects[1] - rects[0]) * (rects[3] - rects[2])).sum())
-    vals = _panel_values(integrand, rects, nodes, weights)
+    n_nodes = int(owner[-1]) + 1
+    total_area = np.bincount(owner, weights=(rects[1] - rects[0]) * (rects[3] - rects[2]), minlength=n_nodes)
+    vals = _panel_values(integrand, rects, owner, nodes, weights)
     tail = vals.shape[1:]
-
-    value = 0.0
-    err_total = 0.0
+    vals = vals.reshape(len(vals), -1)
+    value = np.zeros((n_nodes, vals.shape[1]))
+    error = np.zeros(n_nodes)
+    scale = np.zeros(n_nodes)
     for _ in range(spec.max_depth):
         a0, a1, b0, b1 = rects
         am = 0.5 * (a0 + a1)
@@ -172,48 +247,49 @@ def _adaptive(integrand, rects, spec: QuadratureSpec) -> QuadResult:
                 [am, a1, bm, b1],
             ]
         )  # (4 children, 4 bounds, P)
-        n_par = rects.shape[1]
+        n_par = len(owner)
         flat = ch.transpose(1, 0, 2).reshape(4, 4 * n_par)
-        cvals = _panel_values(integrand, flat, nodes, weights)
-        refined = cvals.reshape(4, n_par, *tail).sum(axis=0)
-        perr = _component_max(refined - vals)
+        child_owner = np.concatenate((owner, owner, owner, owner))
+        cvals = _panel_values(integrand, flat, child_owner, nodes, weights).reshape(4 * n_par, -1)
+        refined = cvals.reshape(4, n_par, -1).sum(axis=0)
+        perr = np.abs(refined - vals).max(axis=1)
 
-        scale = float(abs(value + refined.sum(axis=0)).max())
-        tol_abs = spec.rel_tol * max(scale, 1e-300)
+        starts = _runs(owner)
+        live = owner[starts]
+        scale[live] = np.abs(value[live] + np.add.reduceat(refined, starts, axis=0)).max(axis=1)
+        tol_abs = spec.rel_tol * np.maximum(scale, 1e-300)
         area = (a1 - a0) * (b1 - b0)
-        thresh = 0.25 * tol_abs * np.sqrt(area / total_area)
+        node_area = total_area[owner]
+        thresh = 0.25 * tol_abs[owner] * np.sqrt(area / node_area)
         # floating-point floor: refining below roundoff only grows the panel set
-        floor = 4.0 * np.finfo(float).eps * (_component_max(refined) + scale * area / total_area)
+        floor = 4.0 * np.finfo(float).eps * (np.abs(refined).max(axis=1) + scale[owner] * area / node_area)
         accept = perr <= np.maximum(thresh, floor)
 
-        value = value + refined[accept].sum(axis=0)
-        err_total += float(perr[accept].sum())
-        keep = ~accept
-        if not keep.any():
+        if accept.any():
+            _add_by_node(value, error, owner[accept], refined[accept], perr[accept])
+        kept = np.flatnonzero(~accept)
+        if not len(kept):
             break
 
-        rects = flat.reshape(4, 4, n_par)[:, :, keep].reshape(4, -1)
-        vals = cvals.reshape(4, n_par, *tail)[:, keep].reshape(-1, *tail)
-        carried_err = np.broadcast_to(perr[keep] / 4.0, (4, int(keep.sum()))).ravel()
+        # the children of kept panels, grouped by node and, within a node,
+        # in the child-major order of a batch of one
+        children = (np.arange(4)[:, None] * n_par + kept).ravel()
+        children = children[np.argsort(child_owner[children], kind="stable")]
+        rects = flat[:, children]
+        vals = cvals[children]
+        owner = child_owner[children]
+        carried = perr[children % n_par] / 4.0
 
         # keep the active set bounded: accept the smallest-error panels early
-        if len(vals) > _MAX_ACTIVE_PANELS:
-            order = np.argsort(carried_err)
-            cut = len(vals) - _MAX_ACTIVE_PANELS
-            small = order[:cut]
-            value = value + vals[small].sum(axis=0)
-            err_total += float(carried_err[small].sum())
-            keep_idx = order[cut:]
-            rects = rects[:, keep_idx]
-            vals = vals[keep_idx]
-            carried_err = carried_err[keep_idx]
+        if np.bincount(owner).max() > _MAX_ACTIVE_PANELS:
+            stay = _cap_panels(value, error, owner, vals, carried)
+            rects, vals, owner, carried = rects[:, stay], vals[stay], owner[stay], carried[stay]
     else:
         # depth exhausted: active panels keep their best values and
         # report their carried error
-        value = value + vals.sum(axis=0)
-        err_total += float(carried_err.sum())
-    converged = err_total <= spec.rel_tol * float(abs(value).max())
-    return QuadResult(value if np.ndim(value) else float(value), err_total, converged)
+        _add_by_node(value, error, owner, vals, carried)
+    converged = error <= spec.rel_tol * np.abs(value).max(axis=1)
+    return QuadResult(value.reshape(n_nodes, *tail), error, converged)
 
 
 def _convolution_rects(point):
@@ -234,6 +310,74 @@ def _convolution_rects(point):
     return np.array(rects).T
 
 
+def _convolve_batch(job) -> QuadResult:
+    """One adaptive pass over a batch of points; job is (source, points, spec)."""
+    source, points, spec = job
+    rects = [_convolution_rects(p) for p in points.tolist()]
+    owner = np.repeat(np.arange(len(rects)), [r.shape[1] for r in rects])
+
+    def integrand(ep, zp, ids):
+        xi, eta, zeta = points[ids].T
+        kern = _kernel_arrays(xi, eta - ep, zeta - zp)
+        return (kern.T * source(ep, zp).T).T
+
+    return _adaptive(integrand, np.concatenate(rects, axis=1), owner, spec)
+
+
+# Batches are formed in point order by predicted cost, in units of one
+# point outside the cavity; a point in the closed cavity is singular and
+# costs about _SINGULAR_COST of them.  _BATCH_COST bounds the panels, and
+# so the memory, of one batch.  A pool starts only when the predicted
+# work of all batches is at least _POOL_COST.
+_SINGULAR_COST = 16
+_BATCH_COST = 256
+_POOL_COST = 1024
+
+
+def _batch_bounds(cost) -> list[int]:
+    bounds = [0]
+    total = 0
+    for i, c in enumerate(cost.tolist()):
+        if total and total + c > _BATCH_COST:
+            bounds.append(i)
+            total = 0
+        total += c
+    return bounds + [len(cost)]
+
+
+def convolve_points(
+    source: SourceFunction, points, spec: QuadratureSpec = DEFAULT_SPEC, threads: int = 1
+) -> QuadResult:
+    """convolve_point at each of the (N, 3) points, as arrays.
+
+    ``value`` is (N,) or (N, components); ``error`` and ``converged``
+    are (N,).  Points are integrated in batches formed in point order,
+    and a point's result does not depend on the points that share its
+    batch, so results are bit-identical for any ``threads``.  threads=0
+    means one worker per CPU; a process pool starts only when the
+    predicted work pays for it.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
+        raise ValueError("evaluation points must form a non-empty (N, 3) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation point must be finite")
+    inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
+    cost = np.where(inside, _SINGULAR_COST, 1)
+    bounds = _batch_bounds(cost)
+    jobs = [(source, pts[s:e], spec) for s, e in zip(bounds[:-1], bounds[1:])]
+    workers = min((os.cpu_count() or 1) if threads == 0 else threads, len(jobs))
+    if workers > 1 and cost.sum() >= _POOL_COST:
+        # imported here: it costs every CLI start-up ~20 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_convolve_batch, jobs))
+    else:
+        parts = [_convolve_batch(job) for job in jobs]
+    return QuadResult(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
 def convolve_point(
     source: SourceFunction, point, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
@@ -242,17 +386,11 @@ def convolve_point(
     A source whose values carry a trailing component axis is integrated
     in one pass over shared panels; ``value`` is then an array with one
     entry per component, and the tolerance applies at the scale of the
-    largest component.
+    largest component.  This is convolve_points for a batch of one.
     """
-    xi, eta, zeta = (float(v) for v in point)
-    if not all(np.isfinite(v) for v in (xi, eta, zeta)):
-        raise ValueError("evaluation point must be finite")
-
-    def integrand(ep, zp):
-        kern = _kernel_arrays(xi, eta - ep, zeta - zp)
-        return (kern.T * source(ep, zp).T).T
-
-    return _adaptive(integrand, _convolution_rects((xi, eta, zeta)), spec)
+    r = convolve_points(source, [point], spec)
+    value = r.value[0]
+    return QuadResult(value if np.ndim(value) else float(value), float(r.error[0]), bool(r.converged[0]))
 
 
 _MC_CHUNK = 1_000_000

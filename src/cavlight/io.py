@@ -89,15 +89,19 @@ def table_to_json(table: ScalingTable, provenance: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _text_row(entry: str, delta_c: str, n_opt: str) -> str:
+    # a value takes at most 16 characters ("-1.23456789e-300"), and two
+    # spaces always separate the columns
+    return f"{entry:<20}  {delta_c:>16}  {n_opt:>16}".rstrip()
+
+
 def table_to_text(table: ScalingTable) -> str:
-    rows = []
-    header = f"{'entry':<20}{'delta_c/c':>14}{'n_opt':>14}"
-    rows.append(header)
-    rows.append("-" * len(header))
+    header = _text_row("entry", "delta_c/c", "n_opt")
+    rows = [header, "-" * len(header)]
     for key, cell in table.entries().items():
         if cell is None:
-            rows.append(f"{key:<20}{'absent':>14}{'':>14}")
+            rows.append(_text_row(key, "absent", ""))
             continue
         n_opt = fmt(cell["n_opt"]) if "n_opt" in cell else ""
-        rows.append(f"{key:<20}{fmt(cell['delta_c']):>14}{n_opt:>14}")
+        rows.append(_text_row(key, fmt(cell["delta_c"]), n_opt))
     return "\n".join(rows) + "\n"

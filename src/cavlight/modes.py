@@ -65,12 +65,15 @@ def f1(eta, zeta):
 
 def f2(eta, zeta):
     """t11 of the (011) mode."""
-    return np.cos(2.0 * eta) + np.cos(2.0 * zeta) - 2.0 * np.cos(2.0 * eta) * np.cos(2.0 * zeta)
+    c_eta = np.cos(2.0 * eta)
+    c_zeta = np.cos(2.0 * zeta)
+    return c_eta + c_zeta - 2.0 * c_eta * c_zeta
 
 
 def f3(eta, zeta):
     """t22 of the (011) mode."""
-    return 1.0 - 2.0 * np.cos(2.0 * zeta) + np.cos(2.0 * zeta) * np.cos(2.0 * eta)
+    c_zeta = np.cos(2.0 * zeta)
+    return 1.0 - 2.0 * c_zeta + c_zeta * np.cos(2.0 * eta)
 
 
 def f3_tilde(eta, zeta):

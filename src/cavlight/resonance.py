@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_point
+from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_point, convolve_points
 from .fields import SRC_UNIT
 from .physical import ExperimentConfig, derive_params
 
@@ -56,10 +56,13 @@ def line_average_epsilon(spec: QuadratureSpec = DEFAULT_SPEC, transverse: str = 
         trans = [(e, z, we * wz) for e, we in zip(pc, wc) for z, wz in zip(pc, wc)]
     else:
         raise ValueError(f"unknown transverse option {transverse!r}")
+    points = [(xi, eta0, zeta0) for eta0, zeta0, _ in trans for xi in xs]
+    weights = [wt * wx for _, _, wt in trans for wx in ws]
+    # epsilon is twice the unit-source convolution (see epsilon_point)
+    values = 2.0 * convolve_points(SRC_UNIT, points, spec, threads=0).value
     total = 0.0
-    for eta0, zeta0, wt in trans:
-        for xi, wx in zip(xs, ws):
-            total += wt * wx * epsilon_point((xi, eta0, zeta0), spec).value
+    for wt, value in zip(weights, values):
+        total += wt * value
     # a Python float, so a shift that overflows is inf without a numpy warning
     return float(total)
 

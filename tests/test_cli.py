@@ -439,3 +439,19 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_the_process_pool():
+    # start-up guard: concurrent.futures.process loads only when a map
+    # starts a pool, not with every CLI call
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, cavlight, cavlight.cli; print('concurrent.futures.process' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

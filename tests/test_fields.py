@@ -1,5 +1,6 @@
 """Tests for metric perturbation fields and the Poisson residual check."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -58,10 +59,8 @@ def test_g_trace_identity():
         assert g.g1 == pytest.approx(g.g2 + g.g3 + g.g3_tilde, abs=max(4e-6 * abs(g.g1), 4 * g.error))
 
 
-def test_g_integrals_one_pass_matches_per_source_reference(monkeypatch):
-    # interior, face, edge, exterior and mid-plane points
-    points = [CENTER, (PI / 2, PI / 2, 0.0), (PI / 2, 0.0, 0.0), (PI / 2, -PI, -PI), MID_PLANE]
-    spec = QuadratureSpec(rel_tol=1e-8)
+def _count_kernel_points(monkeypatch):
+    """Count the kernel points evaluated in this process."""
     kernel_arrays = greens._kernel_arrays
     seen = [0]
 
@@ -71,6 +70,14 @@ def test_g_integrals_one_pass_matches_per_source_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(greens, "_kernel_arrays", counted)
+    return seen
+
+
+def test_g_integrals_one_pass_matches_per_source_reference(monkeypatch):
+    # interior, face, edge, exterior and mid-plane points
+    points = [CENTER, (PI / 2, PI / 2, 0.0), (PI / 2, 0.0, 0.0), (PI / 2, -PI, -PI), MID_PLANE]
+    spec = QuadratureSpec(rel_tol=1e-8)
+    seen = _count_kernel_points(monkeypatch)
     for point in points:
         seen[0] = 0
         g = g_integrals(point, spec)
@@ -82,6 +89,18 @@ def test_g_integrals_one_pass_matches_per_source_reference(monkeypatch):
         reference = [convolve_point(src, point, spec).value for src in G_SOURCES]
         scale = max(abs(v) for v in reference)
         assert np.allclose(g.as_tuple(), reference, rtol=0.0, atol=spec.rel_tol * scale)
+
+
+@pytest.mark.parametrize(
+    "point, kernel_points",
+    [(CENTER, 34048), (MID_PLANE, 23808), ((10.0, PI / 2, PI / 2), 320)],
+    ids=["centre", "mid-plane", "exterior"],
+)
+def test_g_integrals_kernel_points(monkeypatch, point, kernel_points):
+    # a work guard that needs no clock: the default spec's panel set
+    seen = _count_kernel_points(monkeypatch)
+    g_integrals(point)
+    assert seen[0] == kernel_points
 
 
 def test_metric_011_mid_plane_converged():
@@ -171,29 +190,63 @@ def _default_range(count):
     return GridSpec(*[(-PI, 2 * PI, count)] * 3)
 
 
-def test_metric_grid_thread_invariance():
+def test_metric_grid_thread_invariance(monkeypatch):
     spec = QuadratureSpec(rel_tol=1e-4)
     unfolded = GridSpec(xi=(0.8, 2.2, 3), eta=(1.0, 2.0, 2), zeta=(1.3, 1.7, 2))
-    # the folded 6^3 grid keeps 18 distinct nodes, enough for the pool
+    # small batches, and a pool for any work, so threads=3 really uses one
+    monkeypatch.setattr(greens, "_BATCH_COST", 16)
+    monkeypatch.setattr(greens, "_POOL_COST", 0)
+    pools = _count_pools(monkeypatch)
     for grid in [unfolded, _default_range(6)]:
         a = metric_grid(grid, spec, threads=1)
         b = metric_grid(grid, spec, threads=3)
         for name in a.components:
             assert np.array_equal(a.components[name], b.components[name])
         assert np.array_equal(a.errors, b.errors) and np.array_equal(a.converged, b.converged)
+    assert pools == [3, 3]
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of fields.<name> made in this process (threads=1)."""
-    original = getattr(fields, name)
-    calls = [0]
+def _count_pools(monkeypatch):
+    """Record the worker count of every process pool a map starts."""
+    real = concurrent.futures.ProcessPoolExecutor
+    pools = []
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    class Counted(real):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(fields, name, counted)
-    return calls
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return pools
+
+
+def test_metric_grid_starts_a_pool_only_when_the_work_pays(monkeypatch):
+    pools = _count_pools(monkeypatch)
+    # the default-range 10^3 map: 75 distinct nodes, six of them in the cavity
+    metric_grid(_default_range(10), QuadratureSpec(rel_tol=1e-6), threads=2)
+    assert pools == []
+    # 64 singular nodes: enough predicted work for two workers
+    grid = GridSpec(*[(0.5, 0.8, 4)] * 3)
+    spec = QuadratureSpec(rel_tol=1e-4)
+    pooled = metric_grid(grid, spec, big_m=1000, threads=2)
+    assert pools == [2]
+    serial = metric_grid(grid, spec, big_m=1000, threads=1)
+    assert pools == [2]
+    for name in pooled.components:
+        assert np.array_equal(pooled.components[name], serial.components[name])
+
+
+def _count_nodes(monkeypatch):
+    """Count the nodes metric_grid hands to the quadrature."""
+    original = fields.convolve_points
+    nodes = [0]
+
+    def counted(source, points, *args):
+        nodes[0] += len(points)
+        return original(source, points, *args)
+
+    monkeypatch.setattr(fields, "convolve_points", counted)
+    return nodes
 
 
 @pytest.mark.parametrize(
@@ -225,10 +278,10 @@ def test_metric_grid_h23_changes_sign_across_eta_mid_plane(monkeypatch):
     above = metric_011((1.0, PI - 0.7, 0.4), spec)
     assert below.h23 * above.h23 < 0.0
     assert abs(below.h23) > 100 * below.error
-    calls = _count_calls(monkeypatch, "metric_011")
+    nodes = _count_nodes(monkeypatch)
     grid = GridSpec(xi=(1.0, 1.0, 1), eta=(0.7, PI - 0.7, 2), zeta=(0.4, 0.4, 1))
     field = metric_grid(grid, spec, threads=1)
-    assert calls[0] == 1
+    assert nodes[0] == 1
     h23 = field.components["h23"][0, :, 0]
     assert h23[0] == below.h23 and h23[1] == -below.h23
 
@@ -246,9 +299,9 @@ def test_metric_grid_h23_changes_sign_across_eta_mid_plane(monkeypatch):
     ],
 )
 def test_metric_grid_evaluates_distinct_nodes_only(monkeypatch, grid, big_m, evaluated):
-    calls = _count_calls(monkeypatch, "metric_011" if big_m is None else "metric_01M")
+    nodes = _count_nodes(monkeypatch)
     metric_grid(grid, QuadratureSpec(rel_tol=1e-4), big_m=big_m, threads=1)
-    assert calls[0] == evaluated
+    assert nodes[0] == evaluated
 
 
 def _interior_field(delta, count=5, big_m=None):

@@ -15,7 +15,7 @@ from cavlight.greens import (
     kernel,
     mc_oracle_many,
 )
-from cavlight.fields import SRC_F1, SRC_UNIT
+from cavlight.fields import _SRC_G, SRC_F1, SRC_LARGE_M, SRC_UNIT
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -123,6 +123,53 @@ def test_converged_means_error_within_tolerance(monkeypatch):
             assert r.converged == (r.error <= rel_tol * abs(r.value))
             outcomes.add(r.converged)
     assert outcomes == {True, False}
+
+
+# interior, face, edge, exterior, xi-exterior over the square, and
+# mid-plane points
+MIXED = [
+    CENTER,
+    (PI / 2, PI / 2, 0.0),
+    (PI / 2, 0.0, 0.0),
+    (PI / 2, -PI, -PI),
+    (10.0, PI / 2, PI / 2),
+    (1.0, PI / 2, 0.7),
+    (0.5, 0.6, 0.7),
+]
+
+
+def _assert_batch_independent(source, spec):
+    """Each point gives the same bits alone and inside a mixed batch."""
+    forward = greens._convolve_batch((source, np.array(MIXED), spec))
+    backward = greens._convolve_batch((source, np.array(MIXED[::-1]), spec))
+    for i, point in enumerate(MIXED):
+        alone = convolve_point(source, point, spec)
+        for batch, j in ((forward, i), (backward, len(MIXED) - 1 - i)):
+            assert np.array_equal(batch.value[j], alone.value)
+            assert batch.error[j] == alone.error
+            assert batch.converged[j] == alone.converged
+
+
+@pytest.mark.parametrize("source", [_SRC_G, SRC_LARGE_M], ids=["011", "large-M"])
+def test_point_result_does_not_depend_on_its_batch(source):
+    _assert_batch_independent(source, QuadratureSpec(rel_tol=1e-6))
+
+
+@pytest.mark.parametrize("source", [_SRC_G, SRC_LARGE_M], ids=["011", "large-M"])
+def test_capped_point_does_not_depend_on_its_batch(monkeypatch, source):
+    spec = QuadratureSpec(rel_tol=1e-8)
+    free = convolve_point(source, CENTER, spec)
+    monkeypatch.setattr(greens, "_MAX_ACTIVE_PANELS", 4)
+    assert convolve_point(source, CENTER, spec).error != free.error  # the cap fired
+    _assert_batch_independent(source, spec)
+
+
+def test_convolve_points_matches_convolve_point():
+    spec = QuadratureSpec(rel_tol=1e-5)
+    r = greens.convolve_points(SRC_UNIT, MIXED, spec)
+    assert r.value.shape == r.error.shape == r.converged.shape == (len(MIXED),)
+    for i, point in enumerate(MIXED):
+        assert r.value[i] == convolve_point(SRC_UNIT, point, spec).value
 
 
 def test_convolve_point_exterior():

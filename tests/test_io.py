@@ -101,6 +101,23 @@ def test_table_serialization():
     assert "absent" in text  # lossy rows without a finesse
 
 
+def test_table_text_columns_stay_apart():
+    # L = 1 m and lambda = 0.5 m give values of 14 characters, such as
+    # 1.10920189e+45, which once touched the column before them
+    with pytest.warns(UserWarning):
+        table = table1(ExperimentConfig(cavity_length=1.0, wavelength=0.5))
+    lines = table_to_text(table).splitlines()[2:]
+    assert len(lines) == len(table.entries())
+    for line, (key, cell) in zip(lines, table.entries().items()):
+        words = line.split()
+        assert words[0] == key
+        if cell is None:
+            assert words[1:] == ["absent"]
+            continue
+        assert float(words[1]) == round9(cell["delta_c"])
+        assert words[2:] == ([fmt(cell["n_opt"])] if "n_opt" in cell else [])
+
+
 def test_serialization_is_deterministic():
     field = _tiny_field()
     prov = provenance_block({"cavity_length_m": 1.0, "wavelength_m": 1e-6}, 42)
