@@ -326,12 +326,15 @@ def _convolve_batch(job) -> QuadResult:
 
 # Batches are formed in point order by predicted cost, in units of one
 # point outside the cavity; a point in the closed cavity is singular and
-# costs about _SINGULAR_COST of them.  _BATCH_COST bounds the panels, and
-# so the memory, of one batch.  A pool starts only when the predicted
-# work of all batches is at least _POOL_COST.
-_SINGULAR_COST = 16
-_BATCH_COST = 256
-_POOL_COST = 1024
+# costs about _SINGULAR_COST of them (serially, 47-79 for the (011)
+# sources at rel_tol 1e-6, 108 for large M at 1e-8, on a 2-vCPU VM).
+# _BATCH_COST bounds the panels, and so the memory, of one batch: 16
+# singular points.  A pool starts only when the predicted work of all
+# batches is at least _POOL_COST; on that VM two workers began to beat
+# serial work at 1024-2048 exterior or 64 singular (011) points.
+_SINGULAR_COST = 64
+_BATCH_COST = 1024
+_POOL_COST = 2048
 
 
 def _batch_bounds(cost) -> list[int]:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_point, convolve_points
+from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_points
 from .fields import SRC_UNIT
 from .physical import ExperimentConfig, derive_params
 
@@ -31,10 +31,20 @@ class LengthConvention(Enum):
     RIGID_RODS = "rigid-rods"
 
 
+def epsilon_points(points, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+    """Plane-wave metric amplitude at each of the (N, 3) points, per unit P*M.
+
+    epsilon is twice the unit-source convolution.  The points are
+    integrated serially.
+    """
+    r = convolve_points(SRC_UNIT, points, spec)
+    return QuadResult(2.0 * r.value, 2.0 * r.error, r.converged)
+
+
 def epsilon_point(point, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
     """Plane-wave metric amplitude at a point, per unit P*M."""
-    r = convolve_point(SRC_UNIT, point, spec)
-    return QuadResult(2.0 * r.value, 2.0 * r.error, r.converged)
+    r = epsilon_points([point], spec)
+    return QuadResult(float(r.value[0]), float(r.error[0]), bool(r.converged[0]))
 
 
 @lru_cache(maxsize=32)
@@ -58,8 +68,7 @@ def line_average_epsilon(spec: QuadratureSpec = DEFAULT_SPEC, transverse: str = 
         raise ValueError(f"unknown transverse option {transverse!r}")
     points = [(xi, eta0, zeta0) for eta0, zeta0, _ in trans for xi in xs]
     weights = [wt * wx for _, _, wt in trans for wx in ws]
-    # epsilon is twice the unit-source convolution (see epsilon_point)
-    values = 2.0 * convolve_points(SRC_UNIT, points, spec, threads=0).value
+    values = epsilon_points(points, spec).value
     total = 0.0
     for wt, value in zip(weights, values):
         total += wt * value

@@ -1,9 +1,11 @@
 """Tests for the global cavity resonance shift."""
 
+import concurrent.futures
 import math
 
 import pytest
 
+from cavlight import greens
 from cavlight.greens import QuadratureSpec, convolve_point
 from cavlight.fields import SRC_UNIT
 from cavlight.modes import ModeIndices
@@ -41,6 +43,17 @@ def test_line_average_cross_section_frozen():
     assert avg == pytest.approx(LINE_AVG_CROSS, rel=1e-6)
     # averaging over the cross-section dilutes the on-axis maximum
     assert avg < line_average_epsilon()
+
+
+def test_line_average_runs_serially(monkeypatch):
+    # frequency-shift has no worker option, so the average starts no pool
+    # even when its predicted work would pay for one
+    def no_pool(*args, **kwargs):
+        raise AssertionError("line_average_epsilon started a process pool")
+
+    monkeypatch.setattr(greens, "_POOL_COST", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert line_average_epsilon(QuadratureSpec(rel_tol=1e-3), transverse="average") > 0.0
 
 
 def test_line_average_rejects_unknown_option():
