@@ -21,11 +21,13 @@ from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction, co
 
 PI = math.pi
 
-SRC_F1 = SourceFunction(modes.f1, "f1")
-SRC_F2 = SourceFunction(modes.f2, "f2")
-SRC_F3 = SourceFunction(modes.f3, "f3")
-SRC_F3_TILDE = SourceFunction(modes.f3_tilde, "f3_tilde")
-SRC_F4 = SourceFunction(modes.f4, "f4")
+# basis: coefficients over (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta,
+# sin 2eta sin 2zeta), the Monte-Carlo oracle's own encoding of a source
+SRC_F1 = SourceFunction(modes.f1, "f1", (2, -1, -1, 0, 0))
+SRC_F2 = SourceFunction(modes.f2, "f2", (0, 1, 1, -2, 0))
+SRC_F3 = SourceFunction(modes.f3, "f3", (1, 0, -2, 1, 0))
+SRC_F3_TILDE = SourceFunction(modes.f3_tilde, "f3_tilde", (1, -2, 0, 1, 0))
+SRC_F4 = SourceFunction(modes.f4, "f4", (0, 0, 0, 0, 1))
 
 
 def _unit(eta, zeta):
@@ -37,8 +39,8 @@ def _four_sin2_eta(eta, zeta):
     return 4.0 * np.sin(eta) ** 2
 
 
-SRC_UNIT = SourceFunction(_unit, "unit")
-SRC_LARGE_M = SourceFunction(_four_sin2_eta, "4sin2eta")
+SRC_UNIT = SourceFunction(_unit, "unit", (1, 0, 0, 0, 0))
+SRC_LARGE_M = SourceFunction(_four_sin2_eta, "4sin2eta", (2, -2, 0, 0, 0))
 
 G_SOURCES = (SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4)
 

@@ -64,11 +64,17 @@ class SourceFunction:
     It is called with eta and zeta arrays that broadcast against each
     other, such as (n, 1, P) and (n, P), and returns values that
     broadcast to their common shape, optionally with a trailing
-    component axis.
+    component axis.  The quadrature calls only ``fn``.
+
+    ``basis``, if given, holds the source's five coefficients over
+    (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta, sin 2eta sin 2zeta).
+    The Monte-Carlo oracle uses only ``basis``, so it is an encoding of
+    the source independent of ``fn``, and it accepts no source without.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
+    basis: tuple[float, float, float, float, float] | None = None
 
     def __call__(self, eta, zeta):
         return self.fn(eta, zeta)
@@ -396,7 +402,10 @@ def convolve_point(
     return QuadResult(value if np.ndim(value) else float(value), float(r.error[0]), bool(r.converged[0]))
 
 
+# samples drawn per call of the generator, which fixes the sample stream
 _MC_CHUNK = 1_000_000
+# samples per pass over the trig basis; it bounds the oracle's temporaries
+_MC_BLOCK = 2**15
 
 
 def _mc_rng(seed: int, point_index: int) -> np.random.Generator:
@@ -414,30 +423,52 @@ def mc_oracle_many(
 ) -> list[tuple[float, float]]:
     """Monte-Carlo estimates of the convolution for several sources.
 
-    All sources share one uniform sample stream over [0, pi]^2 (the
-    kernel, the expensive factor, is evaluated once).  Returns a
-    (mean, standard error) pair per source.
+    All sources share one uniform sample stream over [0, pi]^2.  Each
+    block of samples evaluates the kernel and cos/sin 2eta', 2zeta' once
+    and accumulates the row sums and Gram matrix of kernel times the
+    five basis functions; a source's sum of k*s is then sums @ c and its
+    sum of (k*s)^2 is c^T G c for its coefficients c.  Sources are read
+    only through ``basis``, never called.  Returns a (mean, standard
+    error) pair per source.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
+    for src in sources:
+        if src.basis is None:
+            raise ValueError(f"source {src.label!r} has no basis, which the Monte-Carlo oracle needs")
     xi, eta, zeta = (float(v) for v in point)
+    if not all(math.isfinite(v) for v in (xi, eta, zeta)):
+        raise ValueError("evaluation point must be finite")
+    coef = np.array([src.basis for src in sources], dtype=float).reshape(-1, 5).T  # (5, sources)
     rng = _mc_rng(seed, point_index)
-    sums = np.zeros(len(sources))
-    sumsq = np.zeros(len(sources))
+    basis_sums = np.zeros(5)
+    gram = np.zeros((5, 5))
+    block = np.empty((5, _MC_BLOCK))
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        ep = rng.uniform(0.0, PI, m)
-        zp = rng.uniform(0.0, PI, m)
-        kern = _kernel_arrays(xi, eta - ep, zeta - zp)
-        for j, src in enumerate(sources):
-            v = kern * src(ep, zp)
-            sums[j] += float(v.sum())
-            sumsq[j] += float((v * v).sum())
+        ep_all = rng.uniform(0.0, PI, m)
+        zp_all = rng.uniform(0.0, PI, m)
+        for s in range(0, m, _MC_BLOCK):
+            ep = ep_all[s : s + _MC_BLOCK]
+            zp = zp_all[s : s + _MC_BLOCK]
+            kb = block[:, : len(ep)]
+            kern = kb[0]
+            kern[...] = _kernel_arrays(xi, eta - ep, zeta - zp)
+            np.multiply(kern, np.cos(2.0 * ep), out=kb[1])
+            cos_z = np.cos(2.0 * zp)
+            np.multiply(kern, cos_z, out=kb[2])
+            np.multiply(kb[1], cos_z, out=kb[3])
+            np.multiply(kern, np.sin(2.0 * ep), out=kb[4])
+            kb[4] *= np.sin(2.0 * zp)
+            basis_sums += kb.sum(axis=1)
+            # einsum, not BLAS, so the sums do not depend on BLAS threads
+            gram += np.einsum("ik,jk->ij", kb, kb)
         done += m
+    sumsq = np.einsum("ij,ik,jk->k", gram, coef, coef)
+    sums = basis_sums @ coef
     vol = PI * PI
     mean = vol * sums / samples
     var = np.maximum(sumsq / samples - (sums / samples) ** 2, 0.0)
     stderr = vol * np.sqrt(var / samples)
     return list(zip(mean.tolist(), stderr.tolist()))
-

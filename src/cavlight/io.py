@@ -11,6 +11,8 @@ import hashlib
 import json
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .bounds import ScalingTable
 from .fieldmap import FieldMap
@@ -52,10 +54,10 @@ def fieldmap_to_csv(field: FieldMap, provenance: dict) -> str:
     lines = [f"# {key}: {value}" for key, value in sorted(provenance.items())]
     lines += [f"# units: {UNITS}", ",".join(CSV_COLUMNS)]
     pts, cols = _fieldmap_rows(field)
-    for i in range(len(pts)):
-        row = [fmt(pts[i, 0]), fmt(pts[i, 1]), fmt(pts[i, 2])]
-        row += [fmt(col[i]) for col in cols]
-        lines.append(",".join(row))
+    # one % per row; "%.9g" gives the same text as fmt, value for value
+    template = ",".join(["%.9g"] * len(CSV_COLUMNS))
+    rows = np.column_stack([pts, *cols]).tolist()
+    lines += [template % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

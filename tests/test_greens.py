@@ -15,7 +15,16 @@ from cavlight.greens import (
     kernel,
     mc_oracle_many,
 )
-from cavlight.fields import _SRC_G, SRC_F1, SRC_LARGE_M, SRC_UNIT
+from cavlight.fields import (
+    _SRC_G,
+    SRC_F1,
+    SRC_F2,
+    SRC_F3,
+    SRC_F3_TILDE,
+    SRC_F4,
+    SRC_LARGE_M,
+    SRC_UNIT,
+)
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -27,6 +36,10 @@ UNIT_CENTER = 23.4904220265
 
 # mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42)[0] frozen for determinism
 MC_UNIT_1E5 = (23.47503818225731, 0.028070421068552568)
+
+# mc_oracle_many([SRC_F1], (0.3, 2.0, -0.5), 1_040_000, seed=42, point_index=3)[0]
+# frozen from the oracle that called each source; the samples span two draws
+MC_F1_TWO_DRAWS = (25.13771425260955, 0.014131481926003992)
 
 
 def test_kernel_closed_value_at_midpoint():
@@ -194,9 +207,62 @@ def test_mc_oracle_is_deterministic():
     assert other[0] != got[0]
 
 
-def test_mc_oracle_rejects_tiny_sample():
+@pytest.mark.parametrize(
+    "sources, point, samples",
+    [
+        ([SRC_UNIT], CENTER, 10),
+        ([SRC_UNIT], (math.nan, 1.0, 1.0), 100_000),
+        ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000),
+        ([SRC_UNIT, _SRC_G], CENTER, 100_000),
+        ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000),
+    ],
+    ids=["tiny-sample", "nan-point", "inf-point", "no-basis-g", "no-basis-lambda"],
+)
+def test_mc_oracle_rejects_bad_input(sources, point, samples):
     with pytest.raises(ValueError):
-        mc_oracle_many([SRC_UNIT], CENTER, 10)
+        mc_oracle_many(sources, point, samples)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4, SRC_UNIT, SRC_LARGE_M],
+    ids=lambda src: src.label,
+)
+def test_source_basis_matches_its_function(source):
+    rng = np.random.default_rng(7)
+    eta, zeta = rng.uniform(0.0, PI, (2, 1000))
+    ce, cz = np.cos(2.0 * eta), np.cos(2.0 * zeta)
+    terms = np.array([np.ones_like(eta), ce, cz, ce * cz, np.sin(2.0 * eta) * np.sin(2.0 * zeta)])
+    expected = np.asarray(source.basis, dtype=float) @ terms
+    np.testing.assert_allclose(np.broadcast_to(source(eta, zeta), eta.shape), expected, rtol=0.0, atol=1e-14)
+
+
+def test_mc_oracle_matches_per_source_reference():
+    # the estimator written out per source, each source called on every sample
+    sources = [SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4, SRC_UNIT, SRC_LARGE_M]
+    point = (1.0, 2.5, -0.4)
+    rng = greens._mc_rng(42, 5)
+    ep = rng.uniform(0.0, PI, 50_000)
+    zp = rng.uniform(0.0, PI, 50_000)
+    kern = greens._kernel_arrays(point[0], point[1] - ep, point[2] - zp)
+    got = mc_oracle_many(sources, point, 50_000, seed=42, point_index=5)
+    for src, (mean, stderr) in zip(sources, got):
+        v = kern * src(ep, zp)
+        assert mean == pytest.approx(PI * PI * v.mean(), rel=1e-13)
+        assert stderr == pytest.approx(PI * PI * math.sqrt(v.var() / len(v)), rel=1e-12)
+
+
+def test_mc_oracle_reads_only_the_basis():
+    def never(eta, zeta):
+        raise AssertionError("the oracle called a source function")
+
+    point = (0.3, 2.0, -0.5)
+    blind = SourceFunction(never, "f1 by basis", SRC_F1.basis)
+    got = mc_oracle_many([blind], point, 1_040_000, seed=42, point_index=3)[0]
+    assert got == mc_oracle_many([SRC_F1], point, 1_040_000, seed=42, point_index=3)[0]
+    # the sample stream and its pairing across generator draws are unchanged
+    assert got[0] == pytest.approx(MC_F1_TWO_DRAWS[0], rel=1e-13)
+    assert got[1] == pytest.approx(MC_F1_TWO_DRAWS[1], rel=1e-13)
 
 
 def test_mc_agrees_with_quadrature():

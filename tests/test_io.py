@@ -80,6 +80,26 @@ def test_fieldmap_csv_header_and_roundtrip():
     assert np.allclose(data[:, -1], 1e-7)  # err column
 
 
+def test_fieldmap_csv_rows_match_fmt():
+    # the row-at-a-time writer against fmt applied value by value
+    field = _tiny_field()
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.7976931348623157e308]
+    rng = np.random.default_rng(3)
+    values = np.concatenate([special, rng.standard_normal(28) * 10.0 ** rng.integers(-300, 300, 28)])
+    values = values.reshape(9, *field.grid.shape)
+    for name, v in zip(CSV_COLUMNS[3:-1], values):
+        field.components[name] = v
+    field.errors = values[-1]
+    text = fieldmap_to_csv(field, provenance_block(None, 42))
+    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
+    cols = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]] + [field.errors.reshape(-1)]
+    expected = [
+        ",".join([fmt(v) for v in pt] + [fmt(col[i]) for col in cols])
+        for i, pt in enumerate(field.grid.points())
+    ]
+    assert rows == expected
+
+
 def test_fieldmap_json_structure():
     field = _tiny_field()
     payload = json.loads(fieldmap_to_json(field, provenance_block(None, 42)))
