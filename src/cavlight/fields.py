@@ -21,28 +21,19 @@ from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction, co
 
 PI = math.pi
 
-# basis: coefficients over (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta,
-# sin 2eta sin 2zeta), the Monte-Carlo oracle's own encoding of a source
-SRC_F1 = SourceFunction(modes.f1, "f1", (2, -1, -1, 0, 0))
-SRC_F2 = SourceFunction(modes.f2, "f2", (0, 1, 1, -2, 0))
-SRC_F3 = SourceFunction(modes.f3, "f3", (1, 0, -2, 1, 0))
-SRC_F3_TILDE = SourceFunction(modes.f3_tilde, "f3_tilde", (1, -2, 0, 1, 0))
-SRC_F4 = SourceFunction(modes.f4, "f4", (0, 0, 0, 0, 1))
-
-
-def _unit(eta, zeta):
-    return np.ones(np.broadcast(eta, zeta).shape)
-
-
-def _four_sin2_eta(eta, zeta):
-    # depends on eta only; broadcasts against zeta wherever it is used
-    return 4.0 * np.sin(eta) ** 2
-
-
-SRC_UNIT = SourceFunction(_unit, "unit", (1, 0, 0, 0, 0))
-SRC_LARGE_M = SourceFunction(_four_sin2_eta, "4sin2eta", (2, -2, 0, 0, 0))
+# each library source is its coefficient row over (1, cos 2eta, cos 2zeta,
+# cos 2eta cos 2zeta, sin 2eta sin 2zeta), which is all that the
+# quadrature and the Monte-Carlo oracle read
+SRC_F1 = SourceFunction(None, "f1", (2, -1, -1, 0, 0))
+SRC_F2 = SourceFunction(None, "f2", (0, 1, 1, -2, 0))
+SRC_F3 = SourceFunction(None, "f3", (1, 0, -2, 1, 0))
+SRC_F3_TILDE = SourceFunction(None, "f3_tilde", (1, -2, 0, 1, 0))
+SRC_F4 = SourceFunction(None, "f4", (0, 0, 0, 0, 1))
+SRC_UNIT = SourceFunction(None, "unit", (1, 0, 0, 0, 0))
+SRC_LARGE_M = SourceFunction(None, "4sin2eta", (2, -2, 0, 0, 0))
 
 G_SOURCES = (SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4)
+_SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
 
 MIN_LARGE_M = 8
 # h_tilde peaks at about 54.6, at the cavity centre, and dcz sums two
@@ -51,13 +42,6 @@ MIN_LARGE_M = 8
 MAX_LARGE_M = 10**306
 
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
-
-
-def _g_sources(eta, zeta):
-    return np.stack([src(eta, zeta) for src in G_SOURCES], -1)
-
-
-_SRC_G = SourceFunction(_g_sources, "g")
 
 
 @dataclass(frozen=True)

@@ -61,23 +61,19 @@ _MAX_ACTIVE_PANELS = 4096
 class SourceFunction:
     """Bounded source over the transverse square, with a label.
 
-    It is called with eta and zeta arrays that broadcast against each
-    other, such as (n, 1, P) and (n, P), and returns values that
-    broadcast to their common shape, optionally with a trailing
-    component axis.  The quadrature calls only ``fn``.
+    ``basis`` holds the source's coefficients over the five terms
+    (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta, sin 2eta sin 2zeta):
+    one row of five, or one row per component of a vector source.  The
+    quadrature and the Monte-Carlo oracle read only ``basis``.
 
-    ``basis``, if given, holds the source's five coefficients over
-    (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta, sin 2eta sin 2zeta).
-    The Monte-Carlo oracle uses only ``basis``, so it is an encoding of
-    the source independent of ``fn``, and it accepts no source without.
+    A source without a basis is integrated pointwise: ``fn`` is called
+    with eta of shape (n, 1, P) and zeta of shape (n, P) and returns
+    values that broadcast to (n, n, P).  The oracle does not accept it.
     """
 
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     label: str
-    basis: tuple[float, float, float, float, float] | None = None
-
-    def __call__(self, eta, zeta):
-        return self.fn(eta, zeta)
+    basis: tuple | None = None
 
 
 class QuadResult(NamedTuple):
@@ -160,22 +156,21 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _CHUNK_POINTS = 2**13
 
 
-def _panel_values(integrand, rects, owner, nodes, weights):
+def _panel_values(rule, rects, owner, nodes, weights):
     """Tensor Gauss values of a batch of rectangles; rects is (4, P).
 
-    The integrand gets the separable node axes eta (n, 1, P) and
-    zeta (1, n, P), with panels last, and the node id of each panel.  It
-    returns (n, n, P) values, optionally with a trailing component axis;
-    the result is then (P, components).
+    The panel rule gets the separable Gauss abscissae eta (n, P) and
+    zeta (n, P), the weights, and the node id of each panel; it returns
+    the (P, components) weighted sums over the n x n nodes of each panel.
     """
     step = max(1, _CHUNK_POINTS // len(nodes) ** 2)
     parts = []
     for s in range(0, rects.shape[1], step):
         a0, a1, b0, b1 = rects[:, s : s + step]
-        eta = a0 + (a1 - a0) * nodes[:, None, None]
-        zeta = b0 + (b1 - b0) * nodes[:, None]  # (n, P), which broadcasts as (1, n, P)
-        vals = np.einsum("ijp...,i,j->p...", integrand(eta, zeta, owner[s : s + step]), weights, weights)
-        parts.append((vals.T * (a1 - a0) * (b1 - b0)).T)
+        eta = a0 + (a1 - a0) * nodes[:, None]
+        zeta = b0 + (b1 - b0) * nodes[:, None]
+        vals = rule(eta, zeta, weights, owner[s : s + step])
+        parts.append(vals * ((a1 - a0) * (b1 - b0))[:, None])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -215,7 +210,7 @@ def _cap_panels(value, error, owner, vals, carried):
     return np.concatenate(keep)
 
 
-def _adaptive(integrand, rects, owner, spec: QuadratureSpec) -> QuadResult:
+def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     """Adaptive dyadic refinement of a batch of nodes at once.
 
     ``rects`` is a (4, P) array of initial rectangles and ``owner`` the
@@ -224,20 +219,18 @@ def _adaptive(integrand, rects, owner, spec: QuadratureSpec) -> QuadResult:
     (area, scale, threshold, panel cap, error) is kept per node, so a
     node's result does not depend on the nodes that share its batch.
 
-    All components of a vector integrand share one set of panels.  A
-    panel is accepted when the largest component discrepancy between its
-    one-panel value and the sum of its four children is below a share of
-    the node's tolerance, rel_tol times its largest component magnitude,
-    proportional to sqrt(panel area).  ``error`` sums the accepted
+    ``value`` is (N, components), and all components share one set of
+    panels.  A panel is accepted when the largest component discrepancy
+    between its one-panel value and the sum of its four children is
+    below a share of the node's tolerance, rel_tol times its largest
+    component magnitude, proportional to sqrt(panel area).  ``error`` sums the accepted
     discrepancies, so it bounds the error of every component, and
     ``converged`` is exactly error <= rel_tol * max |value|.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
     n_nodes = int(owner[-1]) + 1
     total_area = np.bincount(owner, weights=(rects[1] - rects[0]) * (rects[3] - rects[2]), minlength=n_nodes)
-    vals = _panel_values(integrand, rects, owner, nodes, weights)
-    tail = vals.shape[1:]
-    vals = vals.reshape(len(vals), -1)
+    vals = _panel_values(rule, rects, owner, nodes, weights)
     value = np.zeros((n_nodes, vals.shape[1]))
     error = np.zeros(n_nodes)
     scale = np.zeros(n_nodes)
@@ -256,7 +249,7 @@ def _adaptive(integrand, rects, owner, spec: QuadratureSpec) -> QuadResult:
         n_par = len(owner)
         flat = ch.transpose(1, 0, 2).reshape(4, 4 * n_par)
         child_owner = np.concatenate((owner, owner, owner, owner))
-        cvals = _panel_values(integrand, flat, child_owner, nodes, weights).reshape(4 * n_par, -1)
+        cvals = _panel_values(rule, flat, child_owner, nodes, weights)
         refined = cvals.reshape(4, n_par, -1).sum(axis=0)
         perr = np.abs(refined - vals).max(axis=1)
 
@@ -295,7 +288,7 @@ def _adaptive(integrand, rects, owner, spec: QuadratureSpec) -> QuadResult:
         # report their carried error
         _add_by_node(value, error, owner, vals, carried)
     converged = error <= spec.rel_tol * np.abs(value).max(axis=1)
-    return QuadResult(value.reshape(n_nodes, *tail), error, converged)
+    return QuadResult(value, error, converged)
 
 
 def _convolution_rects(point):
@@ -316,18 +309,42 @@ def _convolution_rects(point):
     return np.array(rects).T
 
 
+# the five basis terms as (eta factor, zeta factor) pairs; factor f of x
+# is _TRIG[f](2x), and factor 0 is the constant 1
+_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))
+_TRIG = (None, np.cos, np.sin)
+
+
 def _convolve_batch(job) -> QuadResult:
     """One adaptive pass over a batch of points; job is (source, points, spec)."""
     source, points, spec = job
     rects = [_convolution_rects(p) for p in points.tolist()]
     owner = np.repeat(np.arange(len(rects)), [r.shape[1] for r in rects])
+    rows = np.array(source.basis or (), dtype=float).reshape(-1, 5)
+    terms = {}  # {zeta factor: [(eta factor, (components, 1, 1) coefficients)]}
+    for column, (fe, fz) in zip(rows.T, _BASIS):
+        if column.any():
+            terms.setdefault(fz, []).append((fe, column[:, None, None]))
+    eta_factors = {fe for pairs in terms.values() for fe, _ in pairs}
 
-    def integrand(ep, zp, ids):
+    def rule(ep, zp, weights, ids):
         xi, eta, zeta = points[ids].T
-        kern = _kernel_arrays(xi, eta - ep, zeta - zp)
-        return (kern.T * source(ep, zp).T).T
+        kern = _kernel_arrays(xi, eta - ep[:, None], zeta - zp)
+        if source.basis is None:  # integrated pointwise
+            return np.einsum("ijp,i,j->p", kern * source.fn(ep[:, None], zp), weights, weights)[:, None]
+        # per zeta factor, mix the weighted eta factors and contract the kernel
+        # once; operands are contiguous, as stride-0 ones slow einsum down
+        w = np.repeat(weights[:, None], ep.shape[1], axis=1)
+        eta_f = {fe: w if fe == 0 else w * _TRIG[fe](2.0 * ep) for fe in eta_factors}
+        out = np.zeros((len(rows), ep.shape[1]))
+        for fz, pairs in terms.items():
+            mixed = sum(coef * eta_f[fe] for fe, coef in pairs)
+            out += np.einsum("ijp,jp,kip->kp", kern, w if fz == 0 else w * _TRIG[fz](2.0 * zp), mixed)
+        return out.T
 
-    return _adaptive(integrand, np.concatenate(rects, axis=1), owner, spec)
+    r = _adaptive(rule, np.concatenate(rects, axis=1), owner, spec)
+    # only a source with several basis rows keeps its component axis
+    return r if np.ndim(source.basis) == 2 else r._replace(value=r.value[:, 0])
 
 
 # Batches are formed in point order by predicted cost, in units of one
@@ -392,10 +409,10 @@ def convolve_point(
 ) -> QuadResult:
     """Integral of I(xi, eta - eta', zeta - zeta') * source over [0, pi]^2.
 
-    A source whose values carry a trailing component axis is integrated
-    in one pass over shared panels; ``value`` is then an array with one
-    entry per component, and the tolerance applies at the scale of the
-    largest component.  This is convolve_points for a batch of one.
+    A source with several basis rows is integrated in one pass over
+    shared panels; ``value`` is then an array with one entry per row,
+    and the tolerance applies at the scale of the largest component.
+    This is convolve_points for a batch of one.
     """
     r = convolve_points(source, [point], spec)
     value = r.value[0]
@@ -428,18 +445,20 @@ def mc_oracle_many(
     and accumulates the row sums and Gram matrix of kernel times the
     five basis functions; a source's sum of k*s is then sums @ c and its
     sum of (k*s)^2 is c^T G c for its coefficients c.  Sources are read
-    only through ``basis``, never called.  Returns a (mean, standard
-    error) pair per source.
+    only through ``basis``, which must be one row of five.  Returns a
+    (mean, standard error) pair per source.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     for src in sources:
-        if src.basis is None:
-            raise ValueError(f"source {src.label!r} has no basis, which the Monte-Carlo oracle needs")
+        if np.shape(src.basis) != (5,):
+            raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
     xi, eta, zeta = (float(v) for v in point)
     if not all(math.isfinite(v) for v in (xi, eta, zeta)):
         raise ValueError("evaluation point must be finite")
-    coef = np.array([src.basis for src in sources], dtype=float).reshape(-1, 5).T  # (5, sources)
+    coef = np.array([src.basis for src in sources], dtype=float).T  # (5, sources)
     rng = _mc_rng(seed, point_index)
     basis_sums = np.zeros(5)
     gram = np.zeros((5, 5))
@@ -453,14 +472,14 @@ def mc_oracle_many(
             ep = ep_all[s : s + _MC_BLOCK]
             zp = zp_all[s : s + _MC_BLOCK]
             kb = block[:, : len(ep)]
-            kern = kb[0]
-            kern[...] = _kernel_arrays(xi, eta - ep, zeta - zp)
-            np.multiply(kern, np.cos(2.0 * ep), out=kb[1])
-            cos_z = np.cos(2.0 * zp)
-            np.multiply(kern, cos_z, out=kb[2])
-            np.multiply(kb[1], cos_z, out=kb[3])
-            np.multiply(kern, np.sin(2.0 * ep), out=kb[4])
-            kb[4] *= np.sin(2.0 * zp)
+            kb[0] = _kernel_arrays(xi, eta - ep, zeta - zp)
+            # row c is the kernel times its eta factor, then its zeta factor
+            trig = [[None] + [t(2.0 * x) for t in _TRIG[1:]] for x in (ep, zp)]
+            for row, (fe, fz) in zip(kb[1:], _BASIS[1:]):
+                np.multiply(kb[0], trig[0][fe] if fe else trig[1][fz], out=row)
+                if fe and fz:
+                    row *= trig[1][fz]
+            del trig  # freed before the next block's kernel, for peak memory
             basis_sums += kb.sum(axis=1)
             # einsum, not BLAS, so the sums do not depend on BLAS threads
             gram += np.einsum("ik,jk->ij", kb, kb)

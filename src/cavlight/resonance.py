@@ -14,9 +14,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
-from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, convolve_points
+from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, _gauss_rule, convolve_points
 from .fields import SRC_UNIT
 from .physical import ExperimentConfig, derive_params
 
@@ -54,15 +52,13 @@ def line_average_epsilon(spec: QuadratureSpec = DEFAULT_SPEC, transverse: str = 
     ``transverse='center'`` averages along (xi, pi/2, pi/2);
     ``'average'`` additionally averages over the cross-section.
     """
-    x, w = np.polynomial.legendre.leggauss(N_LINE)
-    xs = 0.5 * PI * (x + 1.0)
-    ws = 0.5 * w  # normalized: weights sum to 1
+    x, ws = _gauss_rule(N_LINE)  # on [0, 1], so the weights sum to 1
+    xs = PI * x
     if transverse == "center":
         trans = [(PI / 2, PI / 2, 1.0)]
     elif transverse == "average":
-        xc, wc = np.polynomial.legendre.leggauss(N_CROSS)
-        pc = 0.5 * PI * (xc + 1.0)
-        wc = 0.5 * wc
+        xc, wc = _gauss_rule(N_CROSS)
+        pc = PI * xc
         trans = [(e, z, we * wz) for e, we in zip(pc, wc) for z, wz in zip(pc, wc)]
     else:
         raise ValueError(f"unknown transverse option {transverse!r}")

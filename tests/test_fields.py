@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cavlight import fields, greens
+from cavlight import fields, greens, modes
 from cavlight.fieldmap import GridSpec
 from cavlight.fields import (
     G_SOURCES,
@@ -21,7 +21,7 @@ from cavlight.fields import (
     metric_01M,
     metric_grid,
 )
-from cavlight.greens import QuadratureSpec, convolve_point
+from cavlight.greens import QuadratureSpec, SourceFunction, convolve_point
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -101,6 +101,18 @@ def test_g_integrals_kernel_points(monkeypatch, point, kernel_points):
     seen = _count_kernel_points(monkeypatch)
     g_integrals(point)
     assert seen[0] == kernel_points
+
+
+@pytest.mark.parametrize("point", [CENTER, MID_PLANE, (10.0, PI / 2, PI / 2)], ids=["centre", "mid-plane", "exterior"])
+def test_pointwise_source_matches_its_basis(monkeypatch, point):
+    # a source without a basis is integrated pointwise, on the same panels
+    seen = _count_kernel_points(monkeypatch)
+    pointwise = convolve_point(SourceFunction(modes.f1, "f1"), point)
+    kernel_points = seen[0]
+    seen[0] = 0
+    by_basis = convolve_point(SRC_F1, point)
+    assert seen[0] == kernel_points
+    assert pointwise.value == pytest.approx(by_basis.value, rel=1e-15)
 
 
 def test_metric_011_mid_plane_converged():

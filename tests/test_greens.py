@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavlight import greens
+from cavlight import greens, modes
 from cavlight.greens import (
     QuadratureSpec,
     SingularKernelError,
@@ -208,38 +208,58 @@ def test_mc_oracle_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "sources, point, samples",
+    "sources, point, samples, match",
     [
-        ([SRC_UNIT], CENTER, 10),
-        ([SRC_UNIT], (math.nan, 1.0, 1.0), 100_000),
-        ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000),
-        ([SRC_UNIT, _SRC_G], CENTER, 100_000),
-        ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000),
+        ([SRC_UNIT], CENTER, 10, "1000 samples"),
+        ([SRC_UNIT], CENTER, 1e4, "samples must be an integer"),
+        ([SRC_UNIT], CENTER, 1000.5, "samples must be an integer"),
+        ([SRC_UNIT], CENTER, True, "samples must be an integer"),
+        ([SRC_UNIT], (math.nan, 1.0, 1.0), 100_000, "finite"),
+        ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000, "finite"),
+        ([SRC_UNIT, _SRC_G], CENTER, 100_000, "'g'"),
+        ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000, "'sum'"),
     ],
-    ids=["tiny-sample", "nan-point", "inf-point", "no-basis-g", "no-basis-lambda"],
+    ids=[
+        "tiny-sample", "float-samples", "fractional-samples", "bool-samples",
+        "nan-point", "inf-point", "g-basis-rows", "no-basis-lambda",
+    ],
 )
-def test_mc_oracle_rejects_bad_input(sources, point, samples):
-    with pytest.raises(ValueError):
+def test_mc_oracle_rejects_bad_input(sources, point, samples, match):
+    with pytest.raises(ValueError, match=match):
         mc_oracle_many(sources, point, samples)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4, SRC_UNIT, SRC_LARGE_M],
-    ids=lambda src: src.label,
-)
+def _large_m_stress(mu):
+    return lambda eta, zeta: modes.StressTensor(64).component(mu, mu, eta, zeta)
+
+
+# each library source against the physics code it encodes
+PHYSICS = {
+    SRC_F1: [modes.f1],
+    SRC_F2: [modes.f2],
+    SRC_F3: [modes.f3],
+    SRC_F3_TILDE: [modes.f3_tilde],
+    SRC_F4: [modes.f4],
+    SRC_UNIT: [lambda eta, zeta: np.ones(np.broadcast(eta, zeta).shape)],
+    SRC_LARGE_M: [_large_m_stress(0), _large_m_stress(3)],
+}
+
+
+@pytest.mark.parametrize("source", list(PHYSICS), ids=lambda src: src.label)
 def test_source_basis_matches_its_function(source):
     rng = np.random.default_rng(7)
     eta, zeta = rng.uniform(0.0, PI, (2, 1000))
     ce, cz = np.cos(2.0 * eta), np.cos(2.0 * zeta)
     terms = np.array([np.ones_like(eta), ce, cz, ce * cz, np.sin(2.0 * eta) * np.sin(2.0 * zeta)])
     expected = np.asarray(source.basis, dtype=float) @ terms
-    np.testing.assert_allclose(np.broadcast_to(source(eta, zeta), eta.shape), expected, rtol=0.0, atol=1e-14)
+    for physics in PHYSICS[source]:
+        np.testing.assert_allclose(physics(eta, zeta), expected, rtol=0.0, atol=1e-14)
 
 
 def test_mc_oracle_matches_per_source_reference():
-    # the estimator written out per source, each source called on every sample
-    sources = [SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4, SRC_UNIT, SRC_LARGE_M]
+    # the estimator written out per source, with the physics code of each
+    # source evaluated on every sample
+    sources = list(PHYSICS)
     point = (1.0, 2.5, -0.4)
     rng = greens._mc_rng(42, 5)
     ep = rng.uniform(0.0, PI, 50_000)
@@ -247,7 +267,7 @@ def test_mc_oracle_matches_per_source_reference():
     kern = greens._kernel_arrays(point[0], point[1] - ep, point[2] - zp)
     got = mc_oracle_many(sources, point, 50_000, seed=42, point_index=5)
     for src, (mean, stderr) in zip(sources, got):
-        v = kern * src(ep, zp)
+        v = kern * PHYSICS[src][0](ep, zp)
         assert mean == pytest.approx(PI * PI * v.mean(), rel=1e-13)
         assert stderr == pytest.approx(PI * PI * math.sqrt(v.var() / len(v)), rel=1e-12)
 
@@ -274,5 +294,5 @@ def test_mc_agrees_with_quadrature():
 
 def test_source_function_label_and_call():
     src = SourceFunction(lambda e, z: e + z, "sum")
-    assert src.label == "sum"
-    assert src(1.0, 2.0) == 3.0
+    assert src.label == "sum" and src.basis is None
+    assert src.fn(1.0, 2.0) == 3.0
