@@ -332,14 +332,23 @@ def _convolve_batch(job) -> QuadResult:
         kern = _kernel_arrays(xi, eta - ep[:, None], zeta - zp)
         if source.basis is None:  # integrated pointwise
             return np.einsum("ijp,i,j->p", kern * source.fn(ep[:, None], zp), weights, weights)[:, None]
-        # per zeta factor, mix the weighted eta factors and contract the kernel
-        # once; operands are contiguous, as stride-0 ones slow einsum down
+        # per zeta factor, contract the kernel once against the weighted eta
+        # factors or their mix, whichever is fewer; operands are contiguous,
+        # as stride-0 ones slow einsum down
         w = np.repeat(weights[:, None], ep.shape[1], axis=1)
         eta_f = {fe: w if fe == 0 else w * _TRIG[fe](2.0 * ep) for fe in eta_factors}
         out = np.zeros((len(rows), ep.shape[1]))
         for fz, pairs in terms.items():
-            mixed = sum(coef * eta_f[fe] for fe, coef in pairs)
-            out += np.einsum("ijp,jp,kip->kp", kern, w if fz == 0 else w * _TRIG[fz](2.0 * zp), mixed)
+            zeta_f = w if fz == 0 else w * _TRIG[fz](2.0 * zp)
+            if len(pairs) < len(rows):
+                # mix the basis integrals one term at a time, in a fixed order,
+                # so a point's bits do not depend on its batch
+                factors = np.stack([eta_f[fe] for fe, _ in pairs])
+                for (_, coef), integral in zip(pairs, np.einsum("ijp,jp,bip->bp", kern, zeta_f, factors)):
+                    out += coef[:, 0] * integral
+            else:
+                mixed = sum(coef * eta_f[fe] for fe, coef in pairs)
+                out += np.einsum("ijp,jp,kip->kp", kern, zeta_f, mixed)
         return out.T
 
     r = _adaptive(rule, np.concatenate(rects, axis=1), owner, spec)
@@ -431,6 +440,25 @@ def _mc_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(point_index)])
 
 
+def _double_angle(x, out):
+    """cos 2x and sin 2x into out[0] and out[1] from one tangent t = tan x.
+
+    With d = 1 + t^2, cos 2x = 2/d - 1 = (1 - t^2)/d and sin 2x = 2t/d.
+    One tan costs a tenth of a cos or sin, and the two rows of ``out``
+    are all the memory the step needs.  For x in [0, pi), t and t^2 stay
+    finite, even at the doubles next to pi/2.
+    """
+    cos2, sin2 = out
+    np.tan(x, out=sin2)
+    np.multiply(sin2, sin2, out=cos2)
+    np.add(cos2, 1.0, out=cos2)
+    np.add(sin2, sin2, out=sin2)
+    np.divide(sin2, cos2, out=sin2)
+    np.divide(2.0, cos2, out=cos2)
+    np.subtract(cos2, 1.0, out=cos2)
+    return out
+
+
 def mc_oracle_many(
     sources,
     point,
@@ -441,20 +469,27 @@ def mc_oracle_many(
     """Monte-Carlo estimates of the convolution for several sources.
 
     All sources share one uniform sample stream over [0, pi]^2.  Each
-    block of samples evaluates the kernel and cos/sin 2eta', 2zeta' once
-    and accumulates the row sums and Gram matrix of kernel times the
-    five basis functions; a source's sum of k*s is then sums @ c and its
-    sum of (k*s)^2 is c^T G c for its coefficients c.  Sources are read
-    only through ``basis``, which must be one row of five.  Returns a
-    (mean, standard error) pair per source.
+    block of samples evaluates the kernel once, takes cos and sin of
+    2eta' and 2zeta' from one tangent per axis, and accumulates the row
+    sums and Gram matrix of kernel times the five basis functions; a
+    source's sum of k*s is then sums @ c and its sum of (k*s)^2 is
+    c^T G c for its coefficients c.  Sources are read only through
+    ``basis``, which must be one row of five; ``sources`` must not be
+    empty and ``point`` is (xi, eta, zeta).  Returns a (mean, standard
+    error) pair per source.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
+    sources = list(sources)
+    if not sources:
+        raise ValueError("sources must hold at least one source")
     for src in sources:
         if np.shape(src.basis) != (5,):
             raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
+    if np.shape(point) != (3,):
+        raise ValueError(f"point must be three coordinates (xi, eta, zeta), got {point!r}")
     xi, eta, zeta = (float(v) for v in point)
     if not all(math.isfinite(v) for v in (xi, eta, zeta)):
         raise ValueError("evaluation point must be finite")
@@ -463,6 +498,9 @@ def mc_oracle_many(
     basis_sums = np.zeros(5)
     gram = np.zeros((5, 5))
     block = np.empty((5, _MC_BLOCK))
+    # cos 2x and sin 2x of one axis at a time; before that, the kernel's
+    # eta and zeta offsets
+    trig = np.empty((2, _MC_BLOCK))
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
@@ -471,15 +509,17 @@ def mc_oracle_many(
         for s in range(0, m, _MC_BLOCK):
             ep = ep_all[s : s + _MC_BLOCK]
             zp = zp_all[s : s + _MC_BLOCK]
-            kb = block[:, : len(ep)]
-            kb[0] = _kernel_arrays(xi, eta - ep, zeta - zp)
-            # row c is the kernel times its eta factor, then its zeta factor
-            trig = [[None] + [t(2.0 * x) for t in _TRIG[1:]] for x in (ep, zp)]
-            for row, (fe, fz) in zip(kb[1:], _BASIS[1:]):
-                np.multiply(kb[0], trig[0][fe] if fe else trig[1][fz], out=row)
-                if fe and fz:
-                    row *= trig[1][fz]
-            del trig  # freed before the next block's kernel, for peak memory
+            n = len(ep)
+            kb = block[:, :n]
+            offsets = np.subtract(eta, ep, out=trig[0, :n]), np.subtract(zeta, zp, out=trig[1, :n])
+            kb[0] = _kernel_arrays(xi, *offsets)
+            # row c is the kernel times its eta factor, then its zeta factor;
+            # factor f >= 1 is cos (1) or sin (2) of the doubled angle
+            for axis, x in enumerate((ep, zp)):
+                factors = _double_angle(x, trig[:, :n])
+                for row, pair in zip(kb[1:], _BASIS[1:]):
+                    if pair[axis]:
+                        np.multiply(row if axis and pair[0] else kb[0], factors[pair[axis] - 1], out=row)
             basis_sums += kb.sum(axis=1)
             # einsum, not BLAS, so the sums do not depend on BLAS threads
             gram += np.einsum("ik,jk->ij", kb, kb)

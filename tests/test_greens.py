@@ -41,6 +41,22 @@ MC_UNIT_1E5 = (23.47503818225731, 0.028070421068552568)
 # frozen from the oracle that called each source; the samples span two draws
 MC_F1_TWO_DRAWS = (25.13771425260955, 0.014131481926003992)
 
+# mc_oracle_many([SRC_F4, SRC_F2, SRC_LARGE_M], point, 1_040_000, seed=42,
+# point_index=3) frozen from the oracle that took cos and sin of 2eta' and
+# 2zeta' directly; f4 and f2 read the sin and cos factors of both axes
+MC_TRIG_FROZEN = {
+    (1.0, 0.8, 2.2): [
+        (-1.782570637890964, 0.012958434000532237),
+        (-3.000171701852039, 0.03203351443525599),
+        (43.7904043642665, 0.03670141313650034),
+    ],
+    (-0.7, 4.0, 1.3): [
+        (-0.04468809987366543, 0.004656798540055352),
+        (-0.029229462644321292, 0.013173239125288552),
+        (18.309610211704136, 0.012747855774913814),
+    ],
+}
+
 
 def test_kernel_closed_value_at_midpoint():
     # midpoint of the segment at unit transverse distance ... rho = pi/2:
@@ -218,15 +234,33 @@ def test_mc_oracle_is_deterministic():
         ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000, "finite"),
         ([SRC_UNIT, _SRC_G], CENTER, 100_000, "'g'"),
         ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000, "'sum'"),
+        ([], CENTER, 100_000, "sources"),
+        ([SRC_UNIT], (1.0, 1.0), 100_000, "point"),
+        ([SRC_UNIT], (1.0, 1.0, 1.0, 1.0), 100_000, "point"),
     ],
     ids=[
         "tiny-sample", "float-samples", "fractional-samples", "bool-samples",
         "nan-point", "inf-point", "g-basis-rows", "no-basis-lambda",
+        "no-sources", "two-coordinates", "four-coordinates",
     ],
 )
 def test_mc_oracle_rejects_bad_input(sources, point, samples, match):
     with pytest.raises(ValueError, match=match):
         mc_oracle_many(sources, point, samples)
+
+
+def test_double_angle_matches_cos_sin():
+    # the oracle's double-angle factors from one tangent, over the sample
+    # range [0, pi), at its ends, and at the doubles next to pi/2 where
+    # tan is largest
+    rng = np.random.default_rng(2024)
+    half = PI / 2
+    special = [0.0, PI / 4, np.nextafter(half, 0.0), half, np.nextafter(half, PI), 3 * PI / 4, np.nextafter(PI, 0.0)]
+    x = np.concatenate((rng.uniform(0.0, PI, 100_000), special))
+    cos2, sin2 = greens._double_angle(x, np.empty((2, len(x))))
+    assert np.all(np.isfinite(cos2)) and np.all(np.isfinite(sin2))
+    np.testing.assert_allclose(cos2, np.cos(2.0 * x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(sin2, np.sin(2.0 * x), rtol=0.0, atol=1e-15)
 
 
 def _large_m_stress(mu):
@@ -283,6 +317,14 @@ def test_mc_oracle_reads_only_the_basis():
     # the sample stream and its pairing across generator draws are unchanged
     assert got[0] == pytest.approx(MC_F1_TWO_DRAWS[0], rel=1e-13)
     assert got[1] == pytest.approx(MC_F1_TWO_DRAWS[1], rel=1e-13)
+
+
+@pytest.mark.parametrize("point", list(MC_TRIG_FROZEN), ids=["interior", "exterior"])
+def test_mc_oracle_trig_factors_frozen(point):
+    got = mc_oracle_many([SRC_F4, SRC_F2, SRC_LARGE_M], point, 1_040_000, seed=42, point_index=3)
+    for (mean, stderr), (frozen_mean, frozen_stderr) in zip(got, MC_TRIG_FROZEN[point], strict=True):
+        assert mean == pytest.approx(frozen_mean, rel=1e-13)
+        assert stderr == pytest.approx(frozen_stderr, rel=1e-13)
 
 
 def test_mc_agrees_with_quadrature():
