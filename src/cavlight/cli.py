@@ -113,13 +113,6 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     return config, raw
 
 
-def _quadrature_spec(tolerance: float) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(rel_tol=tolerance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _photon_number(n: float) -> float:
     if not (math.isfinite(n) and n >= 0):
         raise ConfigError(f"--n must be a finite non-negative photon number, got {n}")
@@ -205,9 +198,9 @@ def cmd_field_map(args) -> int:
         raise ConfigError("--threads must be 0 (auto) or a positive worker count")
     try:
         grid = _parse_grid(args.grid, args.slice)
+        spec = QuadratureSpec(rel_tol=args.tolerance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    spec = _quadrature_spec(args.tolerance)
     field = metric_grid(grid, spec, big_m=big_m, threads=args.threads)
     prov = provenance_block(raw, args.seed)
     prov["mode"] = args.mode
@@ -274,14 +267,9 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_frequency_shift(args) -> int:
     config, raw = load_config(args.config)
-    spec = _quadrature_spec(args.tolerance)
     n = _photon_number(args.n)
     shift = frequency_shift(
-        config,
-        n,
-        spec,
-        convention=LengthConvention(args.convention),
-        transverse=args.transverse,
+        config, n, convention=LengthConvention(args.convention), transverse=args.transverse
     )
     if shift == math.inf:
         raise ConfigError(f"delta_omega/omega is outside float range for n = {n:.3g}")
@@ -386,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="light-signal",
     )
     p.add_argument("--transverse", choices=("center", "average"), default="center")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.set_defaults(func=cmd_frequency_shift)
 
     p = sub.add_parser("validate", help="physical-regime checks")

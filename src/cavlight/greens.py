@@ -488,9 +488,13 @@ def mc_oracle_many(
     for src in sources:
         if np.shape(src.basis) != (5,):
             raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
-    if np.shape(point) != (3,):
+    try:
+        p = np.asarray(point, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        p = None
+    if p is None or p.shape != (3,):
         raise ValueError(f"point must be three coordinates (xi, eta, zeta), got {point!r}")
-    xi, eta, zeta = (float(v) for v in point)
+    xi, eta, zeta = p.tolist()
     if not all(math.isfinite(v) for v in (xi, eta, zeta)):
         raise ValueError("evaluation point must be finite")
     coef = np.array([src.basis for src in sources], dtype=float).T  # (5, sources)

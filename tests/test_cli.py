@@ -124,7 +124,7 @@ _COMMANDS = (
 def test_closed_form_commands_exit_cleanly_across_float_range(tmp_path_factory, raw, n):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
     path.write_text(json.dumps(raw))
-    # frequency-shift runs its quadrature once per process; the result is cached
+    # frequency-shift is cheap here: its line average is in closed form and cached
     for command in (*_COMMANDS, ["validate", "--n", repr(n), "--strict"], ["frequency-shift", "--n", repr(n)]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -277,7 +277,6 @@ def test_field_map_bad_arguments_exit_2(args, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["frequency-shift", "--n", "1e20", "--tolerance", "0"],
         ["frequency-shift", "--n", "-1"],
         ["frequency-shift", "--n", "nan"],
         ["frequency-shift", "--n", "inf"],

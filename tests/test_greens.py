@@ -237,11 +237,14 @@ def test_mc_oracle_is_deterministic():
         ([], CENTER, 100_000, "sources"),
         ([SRC_UNIT], (1.0, 1.0), 100_000, "point"),
         ([SRC_UNIT], (1.0, 1.0, 1.0, 1.0), 100_000, "point"),
+        ([SRC_UNIT], ((1, 2), 3, 4), 100_000, "point"),
+        ([SRC_UNIT], (1, "a", 4), 100_000, "point"),
     ],
     ids=[
         "tiny-sample", "float-samples", "fractional-samples", "bool-samples",
         "nan-point", "inf-point", "g-basis-rows", "no-basis-lambda",
-        "no-sources", "two-coordinates", "four-coordinates",
+        "no-sources", "two-coordinates", "four-coordinates", "ragged-point",
+        "non-numeric-point",
     ],
 )
 def test_mc_oracle_rejects_bad_input(sources, point, samples, match):
