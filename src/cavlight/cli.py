@@ -13,6 +13,7 @@ tolerance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -23,9 +24,10 @@ import numpy as np
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
 from .fieldmap import GridSpec
-from .fields import MAX_LARGE_M, MIN_LARGE_M, metric_grid
+from .fields import metric_grid
 from .greens import QuadratureSpec, SingularKernelError, kernel
 from .io import (
+    dump_json,
     fieldmap_to_csv,
     fieldmap_to_json,
     fmt,
@@ -54,17 +56,29 @@ CONFIG_KEYS = {
     "lossy_time_convention": (str, type(None)),
 }
 REQUIRED_KEYS = ("cavity_length_m", "wavelength_m")
+AXES = ("xi", "eta", "zeta")
+TRADEOFF_COLUMNS = ("n", "qcrb", "backaction_abs")
 
 
 class ConfigError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError from the library calls inside as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError also covers bad UTF-8 and integers too long to parse
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -78,25 +92,24 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         # bool is a subclass of int, and no key takes a bool
         if not isinstance(value, CONFIG_KEYS[key]) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} has invalid type {type(value).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config key {key!r} must be finite, got {value}")
+        # NaN fails the <= too, and a JSON integer can exceed the float range
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config key {key!r} must be finite and within float range, got {value}")
 
     mode = None
     if raw.get("mode") is not None:
         indices = raw["mode"]
         if len(indices) != 3 or not all(type(i) is int for i in indices):
             raise ConfigError("mode must be a list of three integers")
-        try:
+        with _config_errors():
             mode = ModeIndices(*indices)
-        except ValueError as exc:
-            raise ConfigError(f"invalid mode {indices}: {exc}") from exc
     convention = TimeConvention.CAPTION
     if raw.get("lossy_time_convention") is not None:
         try:
             convention = TimeConvention(raw["lossy_time_convention"])
         except ValueError as exc:
             raise ConfigError(f"invalid lossy_time_convention: {raw['lossy_time_convention']!r}") from exc
-    try:
+    with _config_errors():
         config = ExperimentConfig(
             cavity_length=float(raw["cavity_length_m"]),
             wavelength=float(raw["wavelength_m"]),
@@ -108,15 +121,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
             time_convention=convention,
         )
         derive_params(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return config, raw
-
-
-def _photon_number(n: float) -> float:
-    if not (math.isfinite(n) and n >= 0):
-        raise ConfigError(f"--n must be a finite non-negative photon number, got {n}")
-    return n
 
 
 def _write(text: str, out: str | None):
@@ -135,83 +140,60 @@ def _parse_grid(grid: str, slice_spec: str | None) -> GridSpec:
         counts = [int(v) for v in grid.lower().split("x")]
     except ValueError:
         raise ConfigError(f"--grid must be N, NxN or NxNxN with integer counts, got {grid!r}") from None
-    default_range = (-PI, 2.0 * PI)
-    if slice_spec is None:
-        if len(counts) == 1:
-            counts = counts * 3
-        if len(counts) != 3:
-            raise ConfigError("--grid must be N or NxNxN without --slice")
-        axes = {
-            name: (*default_range, c) for name, c in zip(("xi", "eta", "zeta"), counts)
-        }
-    else:
+    axes = {}
+    if slice_spec is not None:
         axis, _, value = slice_spec.partition("=")
         axis = axis.strip()
-        if axis not in ("xi", "eta", "zeta") or not value:
+        if axis not in AXES or not value:
             raise ConfigError("--slice must look like xi=1.5")
         try:
             pinned = float(value)
         except ValueError:
             raise ConfigError(f"--slice value must be a number, got {value!r}") from None
-        if len(counts) == 1:
-            counts = counts * 2
-        if len(counts) != 2:
-            raise ConfigError("--grid must be N or NxN with --slice")
-        axes = {}
-        free = [n for n in ("xi", "eta", "zeta") if n != axis]
         axes[axis] = (pinned, pinned, 1)
-        for name, c in zip(free, counts):
-            axes[name] = (*default_range, c)
-    return GridSpec(xi=axes["xi"], eta=axes["eta"], zeta=axes["zeta"])
+    free = [name for name in AXES if name not in axes]
+    if len(counts) == 1:
+        counts = counts * len(free)
+    if len(counts) != len(free):
+        shape = "x".join("N" * len(free))
+        raise ConfigError(f"--grid must be N or {shape} {'with' if axes else 'without'} --slice")
+    for name, c in zip(free, counts):
+        axes[name] = (-PI, 2.0 * PI, c)
+    return GridSpec(**axes)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, str]:
     config, raw = load_config(args.config)
-    try:
+    with _config_errors():
         table = table1(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    prov = provenance_block(raw, args.seed)
     if args.format == "text":
-        _write(table_to_text(table), args.out)
-    else:
-        _write(table_to_json(table, prov), args.out)
-    return EXIT_OK
+        return EXIT_OK, table_to_text(table)
+    return EXIT_OK, table_to_json(table, provenance_block(raw, args.seed))
 
 
-def cmd_field_map(args) -> int:
+def cmd_field_map(args) -> tuple[int, str]:
+    if args.big_m is not None and args.mode != "01m":
+        raise ConfigError("--big-m needs --mode 01m")
     raw = None
-    big_m = None
+    big_m = args.big_m
     if args.config is not None:
         config, raw = load_config(args.config)
-        if args.mode == "01m":
+        if args.mode == "01m" and big_m is None:
             big_m = config.resolved_mode.l_z
-    if args.mode == "01m" and args.big_m is not None:
-        big_m = args.big_m
     if args.mode == "01m" and big_m is None:
         raise ConfigError("mode 01m needs --big-m or a config with a mode")
-    if big_m is not None and big_m < MIN_LARGE_M:
-        raise ConfigError(f"mode 01m needs M >= {MIN_LARGE_M}, got {big_m}")
-    if big_m is not None and big_m > MAX_LARGE_M:
-        raise ConfigError(f"mode 01m needs M <= {MAX_LARGE_M:.0e}, beyond which the metric leaves float range")
-    if args.threads < 0:
-        raise ConfigError("--threads must be 0 (auto) or a positive worker count")
-    try:
+    with _config_errors():
         grid = _parse_grid(args.grid, args.slice)
-        spec = QuadratureSpec(rel_tol=args.tolerance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    field = metric_grid(grid, spec, big_m=big_m, threads=args.threads)
+        field = metric_grid(grid, QuadratureSpec(rel_tol=args.tolerance), big_m=big_m, threads=args.threads)
     prov = provenance_block(raw, args.seed)
     prov["mode"] = args.mode
     if big_m is not None:
         prov["M"] = big_m
     text = fieldmap_to_csv(field, prov) if args.format == "csv" else fieldmap_to_json(field, prov)
-    _write(text, args.out)
-    return EXIT_OK if field.all_converged else EXIT_QUADRATURE
+    return (EXIT_OK if field.all_converged else EXIT_QUADRATURE), text
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args) -> tuple[int, str]:
     if args.points < 1:
         raise ConfigError(f"--points must be a positive count, got {args.points}")
     if not (math.isfinite(args.decades) and args.decades > 0):
@@ -219,24 +201,17 @@ def cmd_tradeoff(args) -> int:
     config, raw = load_config(args.config)
     kind = ProbeKind(args.state)
     formula = CoherentFormula(args.formula)
-    try:
+    with _config_errors():
         params = derive_params(config)
         sol = optimal_tradeoff(params, kind, formula)
         log_n = math.log10(sol.n_opt)
         lo, hi = log_n - args.decades, log_n + args.decades
         if not (sys.float_info.min_10_exp <= lo and hi <= sys.float_info.max_10_exp):
             raise ValueError(f"the sweep 1e{lo:.3g}..1e{hi:.3g} leaves float range; lower --decades")
-        n_values = np.logspace(lo, hi, args.points)
         curves = [
-            (
-                n,
-                qcrb(ProbeState(kind, n, formula), params.tau),
-                abs(backaction(n, params.mode_index, params.kappa)),
-            )
-            for n in n_values
+            (n, qcrb(ProbeState(kind, n, formula), params.tau), abs(backaction(n, params.mode_index, params.kappa)))
+            for n in np.logspace(lo, hi, args.points)
         ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     prov = provenance_block(raw, args.seed)
     solution = {
         "state": kind.value,
@@ -248,85 +223,58 @@ def cmd_tradeoff(args) -> int:
     if args.format == "csv":
         lines = [f"# {k}: {v}" for k, v in sorted(prov.items())]
         lines += [f"# {k}: {v}" for k, v in sorted(solution.items())]
-        lines.append("n,qcrb,backaction_abs")
-        lines += [f"{fmt(n)},{fmt(q)},{fmt(b)}" for n, q, b in curves]
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "provenance": prov,
-            "solution": solution,
-            "curves": {
-                "n": [round9(n) for n, _, _ in curves],
-                "qcrb": [round9(q) for _, q, _ in curves],
-                "backaction_abs": [round9(b) for _, _, b in curves],
-            },
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_OK
+        lines.append(",".join(TRADEOFF_COLUMNS))
+        lines += [",".join(map(fmt, row)) for row in curves]
+        return EXIT_OK, "\n".join(lines) + "\n"
+    columns = {name: [round9(v) for v in col] for name, col in zip(TRADEOFF_COLUMNS, zip(*curves))}
+    return EXIT_OK, dump_json({"provenance": prov, "solution": solution, "curves": columns})
 
 
-def cmd_frequency_shift(args) -> int:
+def cmd_frequency_shift(args) -> tuple[int, str]:
     config, raw = load_config(args.config)
-    n = _photon_number(args.n)
-    shift = frequency_shift(
-        config, n, convention=LengthConvention(args.convention), transverse=args.transverse
-    )
-    if shift == math.inf:
-        raise ConfigError(f"delta_omega/omega is outside float range for n = {n:.3g}")
-    prov = provenance_block(raw, args.seed)
+    with _config_errors():
+        shift = frequency_shift(config, args.n, LengthConvention(args.convention), args.transverse)
     if args.format == "text":
-        _write(f"delta_omega/omega = {fmt(shift)}\n", args.out)
-    else:
-        payload = {
-            "provenance": prov,
-            "photons": args.n,
-            "convention": args.convention,
-            "delta_omega_over_omega": round9(shift),
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return EXIT_OK
+        return EXIT_OK, f"delta_omega/omega = {fmt(shift)}\n"
+    payload = {
+        "provenance": provenance_block(raw, args.seed),
+        "photons": args.n,
+        "convention": args.convention,
+        "delta_omega_over_omega": round9(shift),
+    }
+    return EXIT_OK, dump_json(payload)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, str]:
     config, raw = load_config(args.config)
-    n = _photon_number(args.n)
-    try:
-        report = validate_regime(config, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    prov = provenance_block(raw, args.seed)
+    with _config_errors():
+        report = validate_regime(config, args.n)
+    code = EXIT_REGIME if args.strict and not report.all_ok else EXIT_OK
     if args.format == "text":
-        lines = list(report.messages)
-        lines.append("all checks passed" if report.all_ok else "REGIME VIOLATION")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "provenance": prov,
-            "photons": args.n,
-            "weak_field_ok": report.weak_field_ok,
-            "weak_field_margin": round9(report.weak_field_margin),
-            "nonlinear_qed_ok": report.nonlinear_qed_ok,
-            "min_cavity_length_m": round9(report.min_cavity_length),
-            "wavelength_vs_planck_ok": report.wavelength_vs_planck_ok,
-            "messages": list(report.messages),
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    if args.strict and not report.all_ok:
-        return EXIT_REGIME
-    return EXIT_OK
+        lines = [*report.messages, "all checks passed" if report.all_ok else "REGIME VIOLATION"]
+        return code, "\n".join(lines) + "\n"
+    payload = {
+        "provenance": provenance_block(raw, args.seed),
+        "photons": args.n,
+        "weak_field_ok": report.weak_field_ok,
+        "weak_field_margin": round9(report.weak_field_margin),
+        "nonlinear_qed_ok": report.nonlinear_qed_ok,
+        "min_cavity_length_m": round9(report.min_cavity_length),
+        "wavelength_vs_planck_ok": report.wavelength_vs_planck_ok,
+        "messages": list(report.messages),
+    }
+    return code, dump_json(payload)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args) -> tuple[int, str | None]:
     try:
         value = kernel(args.xi, args.eta, args.zeta)
     except SingularKernelError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_QUADRATURE
+        return EXIT_QUADRATURE, None
     if args.format == "json":
-        _write(json.dumps({"xi": args.xi, "eta": args.eta, "zeta": args.zeta, "value": round9(value)}) + "\n", args.out)
-    else:
-        _write(fmt(value) + "\n", args.out)
-    return EXIT_OK
+        return EXIT_OK, json.dumps({"xi": args.xi, "eta": args.eta, "zeta": args.zeta, "value": round9(value)}) + "\n"
+    return EXIT_OK, fmt(value) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,10 +348,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.func(args)
+            code, text = args.func(args)
         except ConfigError as exc:
             sys.stderr.write(f"config error: {exc}\n")
             return EXIT_CONFIG
+        if text is not None:
+            _write(text, args.out)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
     return code

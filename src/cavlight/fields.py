@@ -127,6 +127,8 @@ def lightspeed_field(metric: MetricPerturbation):
 
 def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threads: int) -> np.ndarray:
     """(h00, h11, h22, h33, h23, error, converged) per point, one row each."""
+    if big_m is not None and not MIN_LARGE_M <= big_m <= MAX_LARGE_M:
+        raise ValueError(f"large-M metric needs {MIN_LARGE_M} <= M <= {MAX_LARGE_M:.0e}; a larger M leaves float range")
     if big_m is None:
         r = convolve_points(_SRC_G, pts, spec, threads)
         g1, g2, g3, g3_tilde, g4 = r.value.T
@@ -140,8 +142,6 @@ def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threa
         # h00..h33 each sum four g integrals with weight 1/2
         error = 2.0 * r.error
     else:
-        if big_m < MIN_LARGE_M:
-            raise ValueError(f"large-M metric requires M >= {MIN_LARGE_M}")
         r = convolve_points(SRC_LARGE_M, pts, spec, threads)
         h = big_m * r.value
         zero = np.zeros(len(pts))
@@ -202,7 +202,8 @@ def metric_grid(
 ) -> FieldMap:
     """Metric components plus light-speed deviations on a grid.
 
-    big_m = None selects the (011) mode; otherwise the large-M mode.
+    big_m = None selects the (011) mode; otherwise the large-M mode,
+    for MIN_LARGE_M <= big_m <= MAX_LARGE_M (ValueError outside).
     Only symmetry-distinct nodes are evaluated: the field is unchanged
     under xi -> pi-xi, eta -> pi-eta and zeta -> pi-zeta (h23 changes
     sign under the last two), and the (011) field under eta <-> zeta

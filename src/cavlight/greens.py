@@ -392,6 +392,8 @@ def convolve_points(
     means one worker per CPU; a process pool starts only when the
     predicted work pays for it.
     """
+    if threads < 0:
+        raise ValueError(f"threads must be 0 (one worker per CPU) or a positive worker count, got {threads}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
         raise ValueError("evaluation points must form a non-empty (N, 3) array")

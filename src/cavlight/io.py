@@ -30,6 +30,11 @@ def round9(value: float) -> float:
     return float(fmt(value))
 
 
+def dump_json(payload: dict) -> str:
+    """The one JSON layout of every file output: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def config_hash(config_dict: dict) -> str:
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -77,7 +82,7 @@ def fieldmap_to_json(field: FieldMap, provenance: dict) -> str:
         payload[name] = [round9(v) for v in pts[:, j]]
     for name, col in zip(CSV_COLUMNS[3:], cols):
         payload[name] = [round9(v) for v in col]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json(payload)
 
 
 def table_to_json(table: ScalingTable, provenance: dict) -> str:
@@ -87,8 +92,7 @@ def table_to_json(table: ScalingTable, provenance: dict) -> str:
             entries[key] = None
         else:
             entries[key] = {k: round9(v) for k, v in cell.items()}
-    payload = {"provenance": provenance, "entries": entries}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json({"provenance": provenance, "entries": entries})
 
 
 def _text_row(entry: str, delta_c: str, n_opt: str) -> str:

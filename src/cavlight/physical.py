@@ -178,11 +178,17 @@ class ValidityReport:
         return self.weak_field_ok and self.nonlinear_qed_ok and self.wavelength_vs_planck_ok
 
 
+def check_photon_number(n: float) -> None:
+    """Raise ValueError unless n is a finite non-negative photon number;
+    a bool is not one."""
+    if isinstance(n, bool) or not (math.isfinite(n) and n >= 0):
+        raise ValueError(f"photon number must be finite and non-negative, got {n}")
+
+
 def validate_regime(config: ExperimentConfig, n: float) -> ValidityReport:
     """Check that n photons in this cavity stay in the weak-field,
     linear-electrodynamics regime."""
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
+    check_photon_number(n)
     params = derive_params(config)
     margin = n * params.kappa * params.mode_index
     weak_ok = margin < WEAK_FIELD_THRESHOLD

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .greens import _gauss_rule
-from .physical import ExperimentConfig, derive_params
+from .physical import ExperimentConfig, check_photon_number, derive_params
 
 PI = math.pi
 # Gauss-Legendre orders along the propagation line and per cross-section axis
@@ -105,12 +105,15 @@ def frequency_shift(
     """Relative resonance-frequency shift delta_omega/omega for n photons.
 
     Under the rigid-rods length definition the mode frequency is
-    unchanged and the result is exactly zero.
+    unchanged and the result is exactly zero.  Raises ValueError when
+    the shift leaves float range.
     """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
+    check_photon_number(n)
     if convention is LengthConvention.RIGID_RODS or n == 0:
         return 0.0
     params = derive_params(config)
     amplitude = params.amplitude(n) * params.mode_index
-    return 0.5 * amplitude * line_average_epsilon(transverse)
+    shift = 0.5 * amplitude * line_average_epsilon(transverse)
+    if not math.isfinite(shift):
+        raise ValueError(f"delta_omega/omega is outside float range for n = {n:.3g}")
+    return shift

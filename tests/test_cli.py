@@ -10,6 +10,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cavlight import __version__
+from cavlight.bounds import ProbeKind, optimal_tradeoff
 from cavlight.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -17,7 +19,8 @@ from cavlight.cli import (
     main,
 )
 from cavlight.greens import kernel
-from cavlight.io import CSV_COLUMNS
+from cavlight.io import CSV_COLUMNS, config_hash, round9
+from cavlight.physical import ExperimentConfig
 
 
 @pytest.fixture
@@ -53,6 +56,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"cavity_length_m": 1' + b"0" * 5000 + b', "wavelength_m": 1e-6}'],
+    ids=["bad-utf8", "integer-too-long"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["bounds", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_bad_mode_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -77,6 +93,8 @@ def test_bad_mode_exits_2(tmp_path):
         ({"mode": [0, 1, 3]}, ["field-map", "--mode", "01m", "--grid", "2"]),
         # M = round(2L/lambda) overflows
         ({"cavity_length_m": 1e308}, ["field-map", "--mode", "01m", "--grid", "2"]),
+        # an integer beyond float range
+        ({"cavity_length_m": 10**400}, ["bounds"]),
     ],
 )
 def test_bool_non_finite_or_out_of_range_config_exits_2(tmp_path, capsys, overrides, command):
@@ -266,6 +284,8 @@ def test_bad_grid_spec_exits_2(capsys):
         ["--mode", "01m", "--big-m", str(10**306 + 1), "--grid", "2"],
         ["--mode", "01m", "--big-m", str(10**308), "--grid", "2"],
         ["--mode", "01m", "--big-m", str(10**310), "--grid", "2"],
+        # --big-m without --mode 01m would be ignored
+        ["--grid", "3", "--big-m", "1000"],
     ],
 )
 def test_field_map_bad_arguments_exit_2(args, capsys):
@@ -371,6 +391,27 @@ def test_tradeoff_solution_and_sweep(config_path, tmp_path):
     q = payload["curves"]["qcrb"]
     b = payload["curves"]["backaction_abs"]
     assert q[0] > b[0] and q[-1] < b[-1]
+
+
+def test_tradeoff_csv_header(config_path, capsys):
+    # provenance lines sorted, then solution lines sorted, then the columns
+    assert main(["tradeoff", "--config", config_path, "--format", "csv", "--points", "3"]) == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[:10]
+    with open(config_path) as fh:
+        sha = config_hash(json.load(fh))
+    sol = optimal_tradeoff(ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4), ProbeKind.OPTIMAL)
+    assert header == [
+        f"# config_sha256: {sha}",
+        "# seed: 42",
+        "# tool: cavlight",
+        f"# version: {__version__}",
+        f"# delta_c_min: {round9(sol.delta_c_min)}",
+        "# formula: None",
+        f"# method: {sol.method}",
+        f"# n_opt: {round9(sol.n_opt)}",
+        "# state: optimal",
+        "n,qcrb,backaction_abs",
+    ]
 
 
 def _run_cli(tmp_path, raw, args):

@@ -11,6 +11,7 @@ from cavlight import fields, greens, modes
 from cavlight.fieldmap import GridSpec
 from cavlight.fields import (
     G_SOURCES,
+    MAX_LARGE_M,
     MIN_LARGE_M,
     SRC_F1,
     g_integrals,
@@ -152,6 +153,23 @@ def test_metric_01M_structure():
     assert m.h11 == 0.0 and m.h22 == 0.0 and m.h23 == 0.0
     with pytest.raises(ValueError):
         metric_01M(CENTER, MIN_LARGE_M - 1)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda m: metric_01M(CENTER, m),
+        lambda m: metric_grid(GridSpec((1, 1, 1), (1.5, 1.5, 1), (1.5, 1.5, 1)), big_m=m, threads=1),
+    ],
+    ids=["metric_01M", "metric_grid"],
+)
+# above MAX_LARGE_M the map would hold inf and still claim convergence
+@pytest.mark.parametrize(
+    "big_m", [MIN_LARGE_M - 1, MAX_LARGE_M + 1, 10**307, math.nan], ids=["below", "above", "1e307", "nan"]
+)
+def test_large_m_outside_range_raises(evaluate, big_m):
+    with pytest.raises(ValueError, match="large-M metric needs"):
+        evaluate(big_m)
 
 
 def test_metric_01M_linear_in_m():

@@ -214,6 +214,20 @@ def test_convolve_point_rejects_nonfinite():
         convolve_point(SRC_UNIT, (math.nan, 1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "points, threads, match",
+    [
+        ([CENTER], -1, "threads"),
+        (np.zeros((0, 3)), 1, r"\(N, 3\)"),
+        ([(1.0, 1.0)], 1, r"\(N, 3\)"),
+    ],
+    ids=["negative-threads", "no-points", "two-coordinates"],
+)
+def test_convolve_points_rejects_bad_input(points, threads, match):
+    with pytest.raises(ValueError, match=match):
+        greens.convolve_points(SRC_UNIT, points, threads=threads)
+
+
 def test_mc_oracle_is_deterministic():
     got = mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42, point_index=0)[0]
     assert got[0] == pytest.approx(MC_UNIT_1E5[0], rel=1e-13)

@@ -151,3 +151,9 @@ def test_validate_regime_rejects_negative_n():
     with pytest.raises(ValueError):
         validate_regime(DEFAULT, -1.0)
 
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, True])
+def test_validate_regime_rejects_non_photon_number(n):
+    with pytest.raises(ValueError, match="photon number"):
+        validate_regime(DEFAULT, n)
+

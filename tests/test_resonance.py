@@ -113,6 +113,23 @@ def test_frequency_shift_sign_and_conventions():
         frequency_shift(CONFIG, -1.0)
 
 
+@pytest.mark.parametrize(
+    "config, n, match",
+    [
+        (CONFIG, math.nan, "photon number"),
+        (CONFIG, -1.0, "photon number"),
+        (CONFIG, math.inf, "photon number"),
+        (CONFIG, True, "photon number"),
+        # a sub-Planck cavity: n*kappa*M stays finite, delta_omega/omega does not
+        (ExperimentConfig(cavity_length=1e-100, wavelength=1e-106), 1e171, "float range"),
+    ],
+    ids=["nan", "negative", "inf", "bool", "overflow"],
+)
+def test_frequency_shift_rejects_bad_input(config, n, match):
+    with pytest.raises(ValueError, match=match):
+        frequency_shift(config, n)
+
+
 def test_frequency_shift_linear_in_n():
     a = frequency_shift(CONFIG, 1e20)
     b = frequency_shift(CONFIG, 2e20)
