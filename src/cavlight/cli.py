@@ -27,12 +27,12 @@ from .fieldmap import GridSpec
 from .fields import metric_grid
 from .greens import QuadratureSpec, SingularKernelError, kernel
 from .io import (
+    dump_csv,
     dump_json,
     fieldmap_to_csv,
     fieldmap_to_json,
     fmt,
     provenance_block,
-    round9,
     table_to_json,
     table_to_text,
 )
@@ -217,16 +217,12 @@ def cmd_tradeoff(args) -> tuple[int, str]:
         "state": kind.value,
         "formula": formula.value if kind is ProbeKind.COHERENT else None,
         "method": sol.method,
-        "n_opt": round9(sol.n_opt),
-        "delta_c_min": round9(sol.delta_c_min),
+        "n_opt": sol.n_opt,
+        "delta_c_min": sol.delta_c_min,
     }
     if args.format == "csv":
-        lines = [f"# {k}: {v}" for k, v in sorted(prov.items())]
-        lines += [f"# {k}: {v}" for k, v in sorted(solution.items())]
-        lines.append(",".join(TRADEOFF_COLUMNS))
-        lines += [",".join(map(fmt, row)) for row in curves]
-        return EXIT_OK, "\n".join(lines) + "\n"
-    columns = {name: [round9(v) for v in col] for name, col in zip(TRADEOFF_COLUMNS, zip(*curves))}
+        return EXIT_OK, dump_csv([prov, solution], TRADEOFF_COLUMNS, curves)
+    columns = dict(zip(TRADEOFF_COLUMNS, zip(*curves)))
     return EXIT_OK, dump_json({"provenance": prov, "solution": solution, "curves": columns})
 
 
@@ -240,7 +236,7 @@ def cmd_frequency_shift(args) -> tuple[int, str]:
         "provenance": provenance_block(raw, args.seed),
         "photons": args.n,
         "convention": args.convention,
-        "delta_omega_over_omega": round9(shift),
+        "delta_omega_over_omega": shift,
     }
     return EXIT_OK, dump_json(payload)
 
@@ -257,23 +253,24 @@ def cmd_validate(args) -> tuple[int, str]:
         "provenance": provenance_block(raw, args.seed),
         "photons": args.n,
         "weak_field_ok": report.weak_field_ok,
-        "weak_field_margin": round9(report.weak_field_margin),
+        "weak_field_margin": report.weak_field_margin,
         "nonlinear_qed_ok": report.nonlinear_qed_ok,
-        "min_cavity_length_m": round9(report.min_cavity_length),
+        "min_cavity_length_m": report.min_cavity_length,
         "wavelength_vs_planck_ok": report.wavelength_vs_planck_ok,
-        "messages": list(report.messages),
+        "messages": report.messages,
     }
     return code, dump_json(payload)
 
 
 def cmd_kernel(args) -> tuple[int, str | None]:
-    try:
-        value = kernel(args.xi, args.eta, args.zeta)
-    except SingularKernelError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_QUADRATURE, None
+    with _config_errors():
+        try:
+            value = kernel(args.xi, args.eta, args.zeta)
+        except SingularKernelError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_QUADRATURE, None
     if args.format == "json":
-        return EXIT_OK, json.dumps({"xi": args.xi, "eta": args.eta, "zeta": args.zeta, "value": round9(value)}) + "\n"
+        return EXIT_OK, dump_json({"xi": args.xi, "eta": args.eta, "zeta": args.zeta, "value": value})
     return EXIT_OK, fmt(value) + "\n"
 
 

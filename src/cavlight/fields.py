@@ -163,7 +163,9 @@ def _mirrored(values: np.ndarray) -> bool:
     pi/2.
     """
     tol = 4.0 * np.finfo(float).eps * max(PI, float(np.max(np.abs(values))))
-    return bool(np.all(np.abs(values + values[::-1] - PI) <= tol))
+    # an axis far enough out to overflow is not mirrored; convolve_points refuses it
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.abs(values + values[::-1] - PI) <= tol))
 
 
 def _fold(grid: GridSpec, swap_eta_zeta: bool):

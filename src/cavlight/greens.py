@@ -127,18 +127,35 @@ def _kernel_arrays(xi, eta, zeta):
     return out
 
 
-def kernel(xi: float, eta: float, zeta: float):
-    """Kernel I(xi, eta, zeta); raises on the singular line."""
-    rho2 = np.asarray(eta) ** 2 + np.asarray(zeta) ** 2
-    on_line = (rho2 == 0.0) & (np.asarray(xi) >= 0.0) & (np.asarray(xi) <= PI)
-    if np.any(on_line):
-        raise SingularKernelError(
-            f"kernel is singular at rho=0 with xi={xi} in [0, pi]"
+# bound on |coordinate| of every evaluation point: against 60-digit arithmetic the
+# kernel's worst relative error over 20 directions is 8e-16 at distance 10, 8e-11
+# at 1e6, 7e-9 at 1e8 and 1e-2 at 1e14, and past about 1e154 it is NaN
+MAX_COORDINATE = 1e6
+
+
+def check_points(points) -> np.ndarray:
+    """The points as a float (N, 3) array; ValueError unless they form a
+    non-empty (N, 3) array of finite coordinates with |c| <= MAX_COORDINATE."""
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        pts = np.empty(0)
+    # NaN fails the <= too
+    if pts.shape[1:] != (3,) or not len(pts) or not np.all(np.abs(pts) <= MAX_COORDINATE):
+        raise ValueError(
+            "evaluation points must form a non-empty (N, 3) array of three finite coordinates, "
+            f"each within +-{MAX_COORDINATE:g}"
         )
+    return pts
+
+
+def kernel(xi: float, eta: float, zeta: float):
+    """Kernel I(xi, eta, zeta); raises on the singular line and for points check_points rejects."""
+    x, e, z = check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3)).T
+    if np.any((e * e + z * z == 0.0) & (x >= 0.0) & (x <= PI)):
+        raise SingularKernelError(f"kernel is singular at rho=0 with xi={xi} in [0, pi]")
     out = _kernel_arrays(xi, eta, zeta)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -294,18 +311,10 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
 def _convolution_rects(point):
     """The source square, split at the projection of an interior point."""
     xi, eta, zeta = point
-    eta_cuts = [0.0, PI]
-    zeta_cuts = [0.0, PI]
     inside = 0.0 <= xi <= PI and 0.0 <= eta <= PI and 0.0 <= zeta <= PI
-    if inside:
-        if 0.0 < eta < PI:
-            eta_cuts = [0.0, eta, PI]
-        if 0.0 < zeta < PI:
-            zeta_cuts = [0.0, zeta, PI]
-    rects = []
-    for a0, a1 in zip(eta_cuts[:-1], eta_cuts[1:]):
-        for b0, b1 in zip(zeta_cuts[:-1], zeta_cuts[1:]):
-            rects.append((a0, a1, b0, b1))
+    eta_cuts = [0.0, eta, PI] if inside and 0.0 < eta < PI else [0.0, PI]
+    zeta_cuts = [0.0, zeta, PI] if inside and 0.0 < zeta < PI else [0.0, PI]
+    rects = [(a0, a1, b0, b1) for a0, a1 in zip(eta_cuts, eta_cuts[1:]) for b0, b1 in zip(zeta_cuts, zeta_cuts[1:])]
     return np.array(rects).T
 
 
@@ -394,11 +403,7 @@ def convolve_points(
     """
     if threads < 0:
         raise ValueError(f"threads must be 0 (one worker per CPU) or a positive worker count, got {threads}")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts):
-        raise ValueError("evaluation points must form a non-empty (N, 3) array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("evaluation point must be finite")
+    pts = check_points(points)
     inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
     cost = np.where(inside, _SINGULAR_COST, 1)
     bounds = _batch_bounds(cost)
@@ -490,15 +495,7 @@ def mc_oracle_many(
     for src in sources:
         if np.shape(src.basis) != (5,):
             raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
-    try:
-        p = np.asarray(point, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numeric
-        p = None
-    if p is None or p.shape != (3,):
-        raise ValueError(f"point must be three coordinates (xi, eta, zeta), got {point!r}")
-    xi, eta, zeta = p.tolist()
-    if not all(math.isfinite(v) for v in (xi, eta, zeta)):
-        raise ValueError("evaluation point must be finite")
+    xi, eta, zeta = check_points([point])[0].tolist()
     coef = np.array([src.basis for src in sources], dtype=float).T  # (5, sources)
     rng = _mc_rng(seed, point_index)
     basis_sums = np.zeros(5)

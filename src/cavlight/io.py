@@ -1,8 +1,9 @@
 """Stable file formats for field maps, tables, and reports.
 
-All floating values are serialized with 9 significant digits; outputs
-carry a provenance block (config hash, tool version, seed) and no
-timestamps, so identical runs produce byte-identical files.
+All floating values are serialized with 9 significant digits: every
+output goes through dump_json or dump_csv, which round each float they
+write.  Outputs carry a provenance block (config hash, tool version,
+seed) and no timestamps, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -30,9 +31,32 @@ def round9(value: float) -> float:
     return float(fmt(value))
 
 
+def _rounded(value):
+    """value with every float in its dicts, lists and tuples at 9 digits."""
+    # floats first: a map's JSON holds over a million of them
+    if isinstance(value, float):
+        return round9(value)
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
+
+
 def dump_json(payload: dict) -> str:
-    """The one JSON layout of every file output: indented, keys sorted."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one JSON layout of every output: floats at 9 digits, indented, keys sorted."""
+    return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
+
+
+def dump_csv(blocks, columns, rows) -> str:
+    """The one CSV layout of every output: each of ``blocks`` as sorted
+    ``# key: value`` lines, floats at 9 digits, then ``columns`` and the rows."""
+    lines = [f"# {key}: {_rounded(value)}" for block in blocks for key, value in sorted(block.items())]
+    lines.append(",".join(columns))
+    # one % per row; "%.9g" gives the same text as fmt, value for value
+    template = ",".join(["%.9g"] * len(columns))
+    lines += [template % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(config_dict: dict) -> str:
@@ -49,50 +73,26 @@ def provenance_block(config_dict: dict | None, seed: int) -> dict[str, Any]:
     }
 
 
-def _fieldmap_rows(field: FieldMap):
-    cols = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]]
-    cols.append(field.errors.reshape(-1))
-    return field.grid.points(), cols
+def _fieldmap_columns(field: FieldMap) -> list[np.ndarray]:
+    """The CSV_COLUMNS of a map, one flat array each."""
+    comps = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]]
+    return [*field.grid.points().T, *comps, field.errors.reshape(-1)]
 
 
 def fieldmap_to_csv(field: FieldMap, provenance: dict) -> str:
-    lines = [f"# {key}: {value}" for key, value in sorted(provenance.items())]
-    lines += [f"# units: {UNITS}", ",".join(CSV_COLUMNS)]
-    pts, cols = _fieldmap_rows(field)
-    # one % per row; "%.9g" gives the same text as fmt, value for value
-    template = ",".join(["%.9g"] * len(CSV_COLUMNS))
-    rows = np.column_stack([pts, *cols]).tolist()
-    lines += [template % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack(_fieldmap_columns(field)).tolist()
+    return dump_csv([provenance, {"units": UNITS}], CSV_COLUMNS, rows)
 
 
 def fieldmap_to_json(field: FieldMap, provenance: dict) -> str:
-    pts, cols = _fieldmap_rows(field)
-    payload: dict[str, Any] = {
-        "provenance": provenance,
-        "units": UNITS,
-        "grid": {
-            "xi": list(field.grid.xi),
-            "eta": list(field.grid.eta),
-            "zeta": list(field.grid.zeta),
-        },
-        "converged": bool(field.all_converged),
-    }
-    for j, name in enumerate(("xi", "eta", "zeta")):
-        payload[name] = [round9(v) for v in pts[:, j]]
-    for name, col in zip(CSV_COLUMNS[3:], cols):
-        payload[name] = [round9(v) for v in col]
-    return dump_json(payload)
+    columns = {name: col.tolist() for name, col in zip(CSV_COLUMNS, _fieldmap_columns(field))}
+    grid = {"xi": field.grid.xi, "eta": field.grid.eta, "zeta": field.grid.zeta}
+    head = {"provenance": provenance, "units": UNITS, "grid": grid, "converged": field.all_converged}
+    return dump_json({**head, **columns})
 
 
 def table_to_json(table: ScalingTable, provenance: dict) -> str:
-    entries = {}
-    for key, cell in table.entries().items():
-        if cell is None:
-            entries[key] = None
-        else:
-            entries[key] = {k: round9(v) for k, v in cell.items()}
-    return dump_json({"provenance": provenance, "entries": entries})
+    return dump_json({"provenance": provenance, "entries": table.entries()})
 
 
 def _text_row(entry: str, delta_c: str, n_opt: str) -> str:

@@ -86,6 +86,10 @@ def f4(eta, zeta):
     return np.sin(2.0 * eta) * np.sin(2.0 * zeta)
 
 
+# (mu, nu) with mu <= nu of every (011) component that does not vanish
+_COMPONENTS_011 = {(0, 0): f1, (1, 1): f2, (2, 2): f3, (3, 3): f3_tilde, (2, 3): f4}
+
+
 class StressTensor:
     """Evaluator for the dimensionless expectation stress tensor t^{mu nu}.
 
@@ -115,14 +119,7 @@ class StressTensor:
         zeta = np.asarray(zeta, dtype=float)
         key = (min(mu, nu), max(mu, nu))
         if self.big_m is None:
-            table = {
-                (0, 0): f1,
-                (1, 1): f2,
-                (2, 2): f3,
-                (3, 3): f3_tilde,
-                (2, 3): f4,
-            }
-            fn = table.get(key)
+            fn = _COMPONENTS_011.get(key)
             if fn is None:
                 return np.zeros(np.broadcast(eta, zeta).shape)
             return fn(eta, zeta)

@@ -16,13 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .greens import _gauss_rule
+from .greens import _gauss_rule, check_points
 from .physical import ExperimentConfig, check_photon_number, derive_params
 
 PI = math.pi
 # Gauss-Legendre orders along the propagation line and per cross-section axis
 N_LINE = 24
 N_CROSS = 6
+# epsilon_point's range from the box centre; see _unit_convolution's error
+MAX_EPSILON_DISTANCE = 100.0
 
 
 class LengthConvention(Enum):
@@ -63,14 +65,16 @@ def _unit_convolution(points) -> np.ndarray:
 
 
 def epsilon_point(point) -> float:
-    """Plane-wave metric amplitude at a point, per unit P*M.
-
-    epsilon is twice the unit-source convolution.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"evaluation point must be three finite coordinates, got {point!r}")
-    return 2.0 * float(_unit_convolution(p[None])[0])
+    """Plane-wave metric amplitude at a point, per unit P*M: twice the
+    unit-source convolution.  Raises ValueError for a point that check_points
+    refuses or that lies beyond MAX_EPSILON_DISTANCE of the box centre."""
+    p = check_points([point])
+    distance = float(np.linalg.norm(p[0] - PI / 2))
+    if distance > MAX_EPSILON_DISTANCE:
+        raise ValueError(
+            f"epsilon_point takes points within {MAX_EPSILON_DISTANCE:g} of the box centre, not {distance:.3g}"
+        )
+    return 2.0 * float(_unit_convolution(p)[0])
 
 
 @lru_cache(maxsize=32)

@@ -19,8 +19,9 @@ from cavlight.cli import (
     main,
 )
 from cavlight.greens import kernel
-from cavlight.io import CSV_COLUMNS, config_hash, round9
-from cavlight.physical import ExperimentConfig
+from cavlight.io import CSV_COLUMNS, config_hash, fmt, round9
+from cavlight.physical import ExperimentConfig, validate_regime
+from cavlight.resonance import frequency_shift
 
 
 @pytest.fixture
@@ -199,6 +200,36 @@ def test_kernel_singular_exit_code(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_kernel_json_output(capsys):
+    # the one indented, key-sorted layout, the echoed coordinates at 9 digits
+    assert main(["kernel", "1.23456789012", "0.7", "0.3", "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    expected = {"eta": 0.7, "value": round9(kernel(1.23456789012, 0.7, 0.3)), "xi": 1.23456789, "zeta": 0.3}
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "point",
+    [["nan", "1", "1"], ["inf", "1", "1"], ["1e308", "1e308", "1e308"], ["1", "2", "1.5e6"]],
+    ids=["nan", "inf", "overflow", "beyond-max-coordinate"],
+)
+def test_kernel_bad_point_exits_2(point, capsys):
+    assert main(["kernel", *point]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "finite" in err[0]
+    assert captured.out == ""
+
+
+def test_field_map_far_slice_exits_2(capsys):
+    # the axis range is finite, but the kernel would overflow there
+    assert main(["field-map", "--grid", "3", "--slice", "xi=1e308"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert captured.out == ""
+
+
 def test_field_map_slice_csv(tmp_path):
     # the 9x9 slice crosses the mid-planes eta = pi/2 and zeta = pi/2,
     # where h23 vanishes by symmetry
@@ -335,6 +366,48 @@ def test_validate_json_payload(config_path, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["weak_field_ok"] is True
     assert payload["min_cavity_length_m"] > 0
+
+
+def test_validate_text_output(config_path, capsys):
+    for n, verdict in (("100", "all checks passed"), ("1e80", "REGIME VIOLATION")):
+        assert main(["validate", "--config", config_path, "--n", n, "--format", "text"]) == EXIT_OK
+        report = validate_regime(ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4), float(n))
+        assert capsys.readouterr().out.splitlines() == [*report.messages, verdict]
+
+
+def test_frequency_shift_text_output(config_path, capsys):
+    assert main(["frequency-shift", "--config", config_path, "--n", "1e20", "--format", "text"]) == EXIT_OK
+    shift = frequency_shift(ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4), 1e20)
+    assert capsys.readouterr().out == f"delta_omega/omega = {fmt(shift)}\n"
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+
+
+def test_every_json_float_is_written_at_9_digits(config_path, capsys):
+    # input echoes included: photons, the kernel's coordinates, the map's grid
+    commands = [
+        ["bounds", "--config", config_path],
+        ["tradeoff", "--config", config_path, "--points", "5"],
+        ["frequency-shift", "--config", config_path, "--n", "1.234567890123e20"],
+        ["validate", "--config", config_path, "--n", "1.234567890123e20"],
+        ["kernel", "1.23456789012", "0.7", "0.3", "--format", "json"],
+        ["field-map", "--grid", "2", "--format", "json"],
+        ["field-map", "--mode", "01m", "--big-m", "1000", "--grid", "2", "--format", "json"],
+    ]
+    for args in commands:
+        assert main(args) == EXIT_OK
+        values = list(_floats(json.loads(capsys.readouterr().out)))
+        assert values, args
+        assert [round9(v) for v in values] == values, args
 
 
 def test_frequency_shift_rigid_rods_is_zero(config_path, tmp_path):

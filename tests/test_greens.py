@@ -228,6 +228,22 @@ def test_convolve_points_rejects_bad_input(points, threads, match):
         greens.convolve_points(SRC_UNIT, points, threads=threads)
 
 
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, 1e308, -1.0000001e6])
+def test_point_rule_is_shared(coordinate):
+    # kernel, convolve_points and the oracle refuse the same points with one message
+    point = (1.0, coordinate, 1.0)
+    calls = [
+        lambda: kernel(*point),
+        lambda: greens.convolve_points(SRC_UNIT, [CENTER, point]),
+        lambda: mc_oracle_many([SRC_UNIT], point, 1000),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\(N, 3\) array of three finite coordinates, each within \+-1e\+06"):
+            call()
+    edge = (1.0, greens.MAX_COORDINATE, -greens.MAX_COORDINATE)
+    assert greens.check_points([edge]).tolist() == [list(edge)]
+
+
 def test_mc_oracle_is_deterministic():
     got = mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42, point_index=0)[0]
     assert got[0] == pytest.approx(MC_UNIT_1E5[0], rel=1e-13)

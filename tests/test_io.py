@@ -11,6 +11,8 @@ from cavlight.fieldmap import FieldMap, GridSpec
 from cavlight.io import (
     CSV_COLUMNS,
     config_hash,
+    dump_csv,
+    dump_json,
     fieldmap_to_csv,
     fieldmap_to_json,
     fmt,
@@ -51,6 +53,20 @@ def test_fmt_nine_significant_digits():
     assert fmt(math.pi) == "3.14159265"
     assert fmt(1.0) == "1"
     assert round9(round9(math.pi)) == round9(math.pi)
+
+
+def test_dump_json_rounds_every_float():
+    # through dicts, lists and tuples; ints, bools, strings and None unchanged
+    payload = {"b": [math.pi, (2, True, None)], "a": {"x": 1 / 3, "s": "text"}}
+    assert json.loads(dump_json(payload)) == {"a": {"s": "text", "x": 0.333333333}, "b": [3.14159265, [2, True, None]]}
+    assert dump_json({"v": 2.5}) == '{\n  "v": 2.5\n}\n'
+
+
+def test_dump_csv_layout():
+    # each block sorted on its own, block floats rounded, one row per tuple
+    rows = [(1 / 3, 2), (np.float64(1e-300), -0.0)]
+    text = dump_csv([{"b": math.pi, "a": None}, {"units": "per-P"}], ("x", "y"), rows)
+    assert text == "# a: None\n# b: 3.14159265\n# units: per-P\nx,y\n0.333333333,2\n1e-300,-0\n"
 
 
 def test_config_hash_is_key_order_independent():

@@ -78,6 +78,23 @@ def test_stress_011_divergence_free_interior():
     assert np.max(np.abs(div)) < 1e-12
 
 
+def test_stress_01M_divergence_matches_finite_differences():
+    # d_j t^{ij} by central differences of component(); t22 carries the only
+    # partial that does not vanish, and nothing depends on xi
+    t = stress_components_01M(128)
+    g = np.linspace(0.1, PI - 0.1, 13)
+    eta, zeta = np.meshgrid(g, g, indexing="ij")
+    h = 1e-6
+    fd = [
+        (t.component(i, 2, eta + h, zeta) - t.component(i, 2, eta - h, zeta)) / (2.0 * h)
+        + (t.component(i, 3, eta, zeta + h) - t.component(i, 3, eta, zeta - h)) / (2.0 * h)
+        for i in (1, 2, 3)
+    ]
+    div = t.divergence(eta, zeta)
+    assert np.max(np.abs(div[1])) > 1.0
+    np.testing.assert_allclose(div, fd, rtol=0.0, atol=1e-6)
+
+
 def test_stress_kind_validation():
     with pytest.raises(ValueError):
         stress_components_01M(1)

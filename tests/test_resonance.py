@@ -77,6 +77,19 @@ def test_epsilon_point_rejects_bad_point(point):
         epsilon_point(point)
 
 
+def test_epsilon_point_range():
+    # far away epsilon/2 tends to the box's total source over the distance;
+    # beyond distance 100 the closed form loses digits as d^3, and beyond
+    # the kernel's coordinate bound every point is refused
+    near = (PI / 2 + 99.0, PI / 2, PI / 2)
+    assert epsilon_point(near) / 2.0 * 99.0 / PI**3 == pytest.approx(1.0, rel=1e-6)
+    for point in ((PI / 2 + 100.5, PI / 2, PI / 2), (PI / 2, -80.0, 80.0), (1e5, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="within 100 of the box centre"):
+            epsilon_point(point)
+    with pytest.raises(ValueError, match="three finite coordinates"):
+        epsilon_point((1e6 + 1.0, 0.0, 0.0))
+
+
 def test_line_average_center_frozen():
     assert line_average_epsilon() == pytest.approx(LINE_AVG_CENTER, rel=1e-12)
 
