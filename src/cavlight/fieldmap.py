@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ class GridSpec:
                 raise ValueError(f"{name} axis needs at least one point")
             if not (np.isfinite(start) and np.isfinite(stop)):
                 raise ValueError(f"{name} axis range must be finite")
+            # taken in Python floats, where an overflow gives inf and no numpy warning
+            if not math.isfinite(float(stop) - float(start)):
+                raise ValueError(f"{name} axis span must be finite")
             if count > 1 and stop <= start:
                 raise ValueError(f"{name} axis range must be increasing")
 

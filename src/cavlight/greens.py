@@ -191,50 +191,17 @@ def _panel_values(rule, rects, owner, nodes, weights):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _runs(owner):
-    """Start of each run of equal ids in a sorted owner array."""
-    edge = np.empty(len(owner), dtype=bool)
-    edge[0] = True
-    np.not_equal(owner[1:], owner[:-1], out=edge[1:])
-    return np.flatnonzero(edge)
-
-
-def _add_by_node(value, error, owner, vals, errs):
-    """Add node-sorted panel values and errors to their nodes' totals."""
-    starts = _runs(owner)
-    ids = owner[starts]
-    value[ids] += np.add.reduceat(vals, starts, axis=0)
-    error[ids] += np.add.reduceat(errs, starts)
-
-
-def _cap_panels(value, error, owner, vals, carried):
-    """Keep at most _MAX_ACTIVE_PANELS active panels per node.
-
-    A node over the cap accepts its smallest-error panels at their
-    current estimate.  Returns the indices of the panels that stay.
-    """
-    ends = np.cumsum(np.bincount(owner)).tolist()
-    keep = []
-    for node, (s, e) in enumerate(zip([0] + ends[:-1], ends)):
-        if e - s <= _MAX_ACTIVE_PANELS:
-            keep.append(np.arange(s, e))
-            continue
-        order = s + np.argsort(carried[s:e])
-        cut = e - s - _MAX_ACTIVE_PANELS
-        value[node] += vals[order[:cut]].sum(axis=0)
-        error[node] += carried[order[:cut]].sum()
-        keep.append(order[cut:])
-    return np.concatenate(keep)
-
-
 def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     """Adaptive dyadic refinement of a batch of nodes at once.
 
     ``rects`` is a (4, P) array of initial rectangles and ``owner`` the
-    sorted node id 0..N-1 of each; the result holds arrays with one entry
-    per node.  Panels stay sorted by node, and every per-node quantity
-    (area, scale, threshold, panel cap, error) is kept per node, so a
-    node's result does not depend on the nodes that share its batch.
+    node id 0..N-1 of each; the result holds arrays with one entry per
+    node.  Panels are not sorted by node.  Every per-node sum is a
+    bincount, which adds a node's panels in panel order, and the children
+    of the kept panels stay in child-major order, which within a node is
+    the order of a batch of one.  Every per-node quantity (area, scale,
+    threshold, panel cap, error) is kept per node, so a node's result
+    does not depend on the nodes that share its batch.
 
     ``value`` is (N, components), and all components share one set of
     panels.  A panel is accepted when the largest component discrepancy
@@ -245,12 +212,18 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     ``converged`` is exactly error <= rel_tol * max |value|.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
-    n_nodes = int(owner[-1]) + 1
-    total_area = np.bincount(owner, weights=(rects[1] - rects[0]) * (rects[3] - rects[2]), minlength=n_nodes)
+    n_nodes = int(owner.max()) + 1
+
+    def by_node(ids, x):
+        """Per-node sums of the panel values x, (P,) or (P, components)."""
+        if x.ndim == 1:
+            return np.bincount(ids, weights=x, minlength=n_nodes)
+        return np.stack([np.bincount(ids, weights=col, minlength=n_nodes) for col in x.T], axis=1)
+
+    total_area = by_node(owner, (rects[1] - rects[0]) * (rects[3] - rects[2]))
     vals = _panel_values(rule, rects, owner, nodes, weights)
     value = np.zeros((n_nodes, vals.shape[1]))
     error = np.zeros(n_nodes)
-    scale = np.zeros(n_nodes)
     for _ in range(spec.max_depth):
         a0, a1, b0, b1 = rects
         am = 0.5 * (a0 + a1)
@@ -270,40 +243,45 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
         refined = cvals.reshape(4, n_par, -1).sum(axis=0)
         perr = np.abs(refined - vals).max(axis=1)
 
-        starts = _runs(owner)
-        live = owner[starts]
-        scale[live] = np.abs(value[live] + np.add.reduceat(refined, starts, axis=0)).max(axis=1)
+        scale = np.abs(value + by_node(owner, refined)).max(axis=1)[owner]
         tol_abs = spec.rel_tol * np.maximum(scale, 1e-300)
         area = (a1 - a0) * (b1 - b0)
         node_area = total_area[owner]
-        thresh = 0.25 * tol_abs[owner] * np.sqrt(area / node_area)
+        thresh = 0.25 * tol_abs * np.sqrt(area / node_area)
         # floating-point floor: refining below roundoff only grows the panel set
-        floor = 4.0 * np.finfo(float).eps * (np.abs(refined).max(axis=1) + scale[owner] * area / node_area)
+        floor = 4.0 * np.finfo(float).eps * (np.abs(refined).max(axis=1) + scale * area / node_area)
         accept = perr <= np.maximum(thresh, floor)
 
-        if accept.any():
-            _add_by_node(value, error, owner[accept], refined[accept], perr[accept])
+        value += by_node(owner[accept], refined[accept])
+        error += by_node(owner[accept], perr[accept])
         kept = np.flatnonzero(~accept)
         if not len(kept):
             break
 
-        # the children of kept panels, grouped by node and, within a node,
-        # in the child-major order of a batch of one
+        # the children of kept panels in child-major order; within a node
+        # that is the order of a batch of one
         children = (np.arange(4)[:, None] * n_par + kept).ravel()
-        children = children[np.argsort(child_owner[children], kind="stable")]
         rects = flat[:, children]
         vals = cvals[children]
         owner = child_owner[children]
         carried = perr[children % n_par] / 4.0
 
-        # keep the active set bounded: accept the smallest-error panels early
-        if np.bincount(owner).max() > _MAX_ACTIVE_PANELS:
-            stay = _cap_panels(value, error, owner, vals, carried)
-            rects, vals, owner, carried = rects[:, stay], vals[stay], owner[stay], carried[stay]
+        # keep the active set bounded: a node over the cap accepts its
+        # smallest-error panels early, and the others keep their order
+        count = np.bincount(owner, minlength=n_nodes)
+        if count.max() > _MAX_ACTIVE_PANELS:
+            ranked = np.lexsort((carried, owner))
+            rank = np.empty(len(owner), dtype=np.intp)
+            rank[ranked] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[ranked]]
+            early = rank < (count - _MAX_ACTIVE_PANELS)[owner]
+            value += by_node(owner[early], vals[early])
+            error += by_node(owner[early], carried[early])
+            rects, vals, owner, carried = rects[:, ~early], vals[~early], owner[~early], carried[~early]
     else:
         # depth exhausted: active panels keep their best values and
         # report their carried error
-        _add_by_node(value, error, owner, vals, carried)
+        value += by_node(owner, vals)
+        error += by_node(owner, carried)
     converged = error <= spec.rel_tol * np.abs(value).max(axis=1)
     return QuadResult(value, error, converged)
 

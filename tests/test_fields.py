@@ -172,6 +172,22 @@ def test_large_m_outside_range_raises(evaluate, big_m):
         evaluate(big_m)
 
 
+@pytest.mark.parametrize(
+    "axis, match",
+    [
+        ((1.0, 2.0, 0), "needs at least one point"),
+        ((1.0, math.inf, 3), "range must be finite"),
+        ((2.0, 1.0, 3), "range must be increasing"),
+        # both ends are finite, but linspace would overflow on the span
+        ((-1e308, 1e308, 3), "span must be finite"),
+    ],
+    ids=["empty", "infinite", "decreasing", "span"],
+)
+def test_grid_spec_rejects_bad_axis(axis, match):
+    with pytest.raises(ValueError, match=f"xi axis {match}"):
+        metric_grid(GridSpec(axis, (1, 1, 1), (1, 1, 1)), threads=1)
+
+
 def test_metric_01M_linear_in_m():
     a = metric_01M(CENTER, 64)
     b = metric_01M(CENTER, 128)

@@ -34,6 +34,10 @@ CENTER = (PI / 2, PI / 2, PI / 2)
 # seeded Monte-Carlo oracle (1e7 samples): 23.4907 +/- 0.0028
 UNIT_CENTER = 23.4904220265
 
+# stops refining at depth 2 with panels left: for f1 at CENTER it reports
+# error 1.16e-3 and converged False
+DEPTH_EXHAUSTED = QuadratureSpec(rel_tol=1e-8, max_depth=2)
+
 # mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42)[0] frozen for determinism
 MC_UNIT_1E5 = (23.47503818225731, 0.028070421068552568)
 
@@ -133,6 +137,13 @@ def test_convolve_point_unit_center():
     assert abs(r.value - UNIT_CENTER) <= max(10.0 * r.error, 1e-4)
 
 
+def test_depth_exhausted_error_covers_the_miss():
+    # the panels left at the depth limit report their carried error
+    r = convolve_point(SRC_UNIT, CENTER, DEPTH_EXHAUSTED)
+    assert not r.converged
+    assert abs(r.value - UNIT_CENTER) <= r.error
+
+
 def test_convolve_point_tolerance_controls_error():
     loose = convolve_point(SRC_F1, CENTER, QuadratureSpec(rel_tol=1e-3))
     tight = convolve_point(SRC_F1, CENTER, QuadratureSpec(rel_tol=1e-8))
@@ -142,14 +153,15 @@ def test_convolve_point_tolerance_controls_error():
 
 
 def test_converged_means_error_within_tolerance(monkeypatch):
-    # a tiny panel cap forces early acceptance; converged must still say
-    # exactly whether the reported error meets the tolerance
+    # a tiny panel cap forces early acceptance, and a depth limit stops
+    # refinement; converged must still say exactly whether the reported
+    # error meets the tolerance
     monkeypatch.setattr(greens, "_MAX_ACTIVE_PANELS", 4)
     outcomes = set()
-    for rel_tol in (1e-4, 1e-6):
+    for spec in (QuadratureSpec(rel_tol=1e-4), QuadratureSpec(rel_tol=1e-6), DEPTH_EXHAUSTED):
         for point in (CENTER, (0.5, 0.6, 0.7)):
-            r = convolve_point(SRC_F1, point, QuadratureSpec(rel_tol=rel_tol))
-            assert r.converged == (r.error <= rel_tol * abs(r.value))
+            r = convolve_point(SRC_F1, point, spec)
+            assert r.converged == (r.error <= spec.rel_tol * abs(r.value))
             outcomes.add(r.converged)
     assert outcomes == {True, False}
 
@@ -181,7 +193,8 @@ def _assert_batch_independent(source, spec):
 
 @pytest.mark.parametrize("source", [_SRC_G, SRC_LARGE_M], ids=["011", "large-M"])
 def test_point_result_does_not_depend_on_its_batch(source):
-    _assert_batch_independent(source, QuadratureSpec(rel_tol=1e-6))
+    for spec in (QuadratureSpec(rel_tol=1e-6), DEPTH_EXHAUSTED):
+        _assert_batch_independent(source, spec)
 
 
 @pytest.mark.parametrize("source", [_SRC_G, SRC_LARGE_M], ids=["011", "large-M"])

@@ -66,6 +66,17 @@ def test_quadrature_reaches_its_tolerance_against_closed_form(rel_tol):
     assert np.all(np.abs(quad.value - exact) <= rel_tol * np.abs(exact))
 
 
+# near the end face xi = 0 the kernel has a second length scale, likely
+# missed by parent and child panels alike: here the quadrature reports
+# converged, with error 6.55e-8, yet misses rel_tol * |exact| by 1.31 x
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the error estimate under-claims near the end faces")
+def test_quadrature_reaches_rel_tol_1e7_near_an_end_face():
+    point = (0.0385, 0.9367069751809931, 2.3302973368569626)
+    exact = _unit_convolution([point])[0]
+    r = greens.convolve_point(SRC_UNIT, point, QuadratureSpec(rel_tol=1e-7))
+    assert abs(r.value - exact) <= 1e-7 * abs(exact)
+
+
 def test_epsilon_point_is_twice_unit_convolution():
     assert epsilon_point(CENTER) == 2.0 * _unit_convolution([CENTER])[0]
     assert isinstance(epsilon_point(CENTER), float)
