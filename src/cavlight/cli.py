@@ -19,26 +19,14 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
-from .fieldmap import GridSpec
-from .fields import metric_grid
-from .greens import QuadratureSpec, SingularKernelError, kernel
 from .io import (
-    dump_csv,
-    dump_json,
-    fieldmap_to_csv,
-    fieldmap_to_json,
-    fmt,
-    provenance_block,
-    table_to_json,
-    table_to_text,
+    dump_csv, dump_json, fieldmap_to_csv, fieldmap_to_json, fmt, provenance_block, table_to_json, table_to_text,
 )
-from .modes import ModeIndices
-from .physical import ExperimentConfig, TimeConvention, derive_params, validate_regime
-from .resonance import LengthConvention, frequency_shift
+from .physical import ExperimentConfig, LengthConvention, ModeIndices, TimeConvention, derive_params, validate_regime
+
+# fieldmap, fields, greens and resonance load numpy: only the commands that use them import them
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +123,8 @@ def _write(text: str, out: str | None):
             raise SystemExit(f"cannot write {out}: {exc}")
 
 
-def _parse_grid(grid: str, slice_spec: str | None) -> GridSpec:
+def _parse_grid(grid: str, slice_spec: str | None):
+    from .fieldmap import GridSpec
     try:
         counts = [int(v) for v in grid.lower().split("x")]
     except ValueError:
@@ -172,6 +161,8 @@ def cmd_bounds(args) -> tuple[int, str]:
 
 
 def cmd_field_map(args) -> tuple[int, str]:
+    from .fields import metric_grid
+    from .greens import QuadratureSpec
     if args.big_m is not None and args.mode != "01m":
         raise ConfigError("--big-m needs --mode 01m")
     raw = None
@@ -193,6 +184,12 @@ def cmd_field_map(args) -> tuple[int, str]:
     return (EXIT_OK if field.all_converged else EXIT_QUADRATURE), text
 
 
+def _log_sweep(lo: float, hi: float, points: int) -> list[float]:
+    """np.logspace(lo, hi, points) without numpy, to 1 ulp: 10**x at the same x, lo and hi exact."""
+    step = (hi - lo) / max(points - 1, 1)
+    return [10.0 ** (lo + i * step) for i in range(points - 1)] + [10.0 ** (hi if points > 1 else lo)]
+
+
 def cmd_tradeoff(args) -> tuple[int, str]:
     if args.points < 1:
         raise ConfigError(f"--points must be a positive count, got {args.points}")
@@ -210,7 +207,7 @@ def cmd_tradeoff(args) -> tuple[int, str]:
             raise ValueError(f"the sweep 1e{lo:.3g}..1e{hi:.3g} leaves float range; lower --decades")
         curves = [
             (n, qcrb(ProbeState(kind, n, formula), params.tau), abs(backaction(n, params.mode_index, params.kappa)))
-            for n in np.logspace(lo, hi, args.points)
+            for n in _log_sweep(lo, hi, args.points)
         ]
     prov = provenance_block(raw, args.seed)
     solution = {
@@ -227,6 +224,7 @@ def cmd_tradeoff(args) -> tuple[int, str]:
 
 
 def cmd_frequency_shift(args) -> tuple[int, str]:
+    from .resonance import frequency_shift
     config, raw = load_config(args.config)
     with _config_errors():
         shift = frequency_shift(config, args.n, LengthConvention(args.convention), args.transverse)
@@ -263,6 +261,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 def cmd_kernel(args) -> tuple[int, str | None]:
+    from .greens import SingularKernelError, kernel
     with _config_errors():
         try:
             value = kernel(args.xi, args.eta, args.zeta)

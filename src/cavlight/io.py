@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .bounds import ScalingTable
-from .fieldmap import FieldMap
+
+if TYPE_CHECKING:  # both import numpy, which the closed-form commands never load
+    import numpy as np
+
+    from .fieldmap import FieldMap
 
 # every field map is in units of the amplitude P
 UNITS = "per-P"
@@ -39,7 +41,18 @@ def _rounded(value):
     if isinstance(value, dict):
         return {key: _rounded(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
+        # a map's columns repeat most values, so each distinct float is rounded
+        # once; 0.0 == -0.0 as keys, so zeros keep their own rounding
+        memo = {}
+        out = []
+        for v in value:
+            if isinstance(v, float) and v:
+                if v not in memo:
+                    memo[v] = round9(v)
+                out.append(memo[v])
+            else:
+                out.append(_rounded(v))
+        return out
     return value
 
 
@@ -80,7 +93,7 @@ def _fieldmap_columns(field: FieldMap) -> list[np.ndarray]:
 
 
 def fieldmap_to_csv(field: FieldMap, provenance: dict) -> str:
-    rows = np.column_stack(_fieldmap_columns(field)).tolist()
+    rows = zip(*(col.tolist() for col in _fieldmap_columns(field)))
     return dump_csv([provenance, {"units": UNITS}], CSV_COLUMNS, rows)
 
 

@@ -1,4 +1,4 @@
-"""Cavity eigenmodes and the dimensionless stress-tensor components they source.
+"""The dimensionless stress-tensor components that cavity eigenmodes source.
 
 Two mode families are supported: the fundamental (0,1,1) mode, whose
 time-averaged stress tensor is expressed through four trigonometric
@@ -12,48 +12,13 @@ Coordinates (xi, eta, zeta) are the box coordinates rescaled to [0, pi].
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 # Below this index the dropped 1/M corrections to the (0,1,M) stress
 # tensor are no longer clearly negligible.
 LARGE_M_WARN_THRESHOLD = 64
-
-
-@dataclass(frozen=True)
-class ModeIndices:
-    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
-
-    At most one index may be zero (and not all), otherwise the mode
-    function vanishes identically.
-    """
-
-    l_x: int
-    l_y: int
-    l_z: int
-
-    def __post_init__(self):
-        ls = (self.l_x, self.l_y, self.l_z)
-        if any(l < 0 for l in ls):
-            raise ValueError(f"mode indices must be non-negative, got {ls}")
-        n_zero = sum(1 for l in ls if l == 0)
-        if n_zero > 1:
-            raise ValueError(f"at most one mode index may be zero, got {ls}")
-
-    @property
-    def index_norm(self) -> float:
-        """sqrt(l_x^2 + l_y^2 + l_z^2)."""
-        return math.sqrt(self.l_x**2 + self.l_y**2 + self.l_z**2)
-
-
-def mode_frequency(mode: ModeIndices, length: float, c: float) -> float:
-    """Angular frequency Omega = c*|k| with k_i = l_i*pi/L."""
-    if length <= 0:
-        raise ValueError("cavity length must be positive")
-    return c * math.pi / length * mode.index_norm
 
 
 # -- dimensionless stress components for the (0,1,1) mode -------------------

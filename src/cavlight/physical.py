@@ -1,4 +1,4 @@
-"""Physical constants, experiment configuration, and dimensionless parameters.
+"""Physical constants, cavity modes, experiment configuration, and dimensionless parameters.
 
 Everything downstream works with the dimensionless set (kappa, M, tau,
 P) derived here from the lab-frame configuration.  All constants are
@@ -11,8 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-
-from .modes import ModeIndices, mode_frequency
 
 # Weak-field flag threshold on n*kappa*M (the dimensionless perturbation
 # amplitude, which must be well below one).
@@ -62,11 +60,49 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
+@dataclass(frozen=True)
+class ModeIndices:
+    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
+
+    At most one index may be zero (and not all), otherwise the mode
+    function vanishes identically.
+    """
+
+    l_x: int
+    l_y: int
+    l_z: int
+
+    def __post_init__(self):
+        ls = (self.l_x, self.l_y, self.l_z)
+        if any(l < 0 for l in ls):
+            raise ValueError(f"mode indices must be non-negative, got {ls}")
+        n_zero = sum(1 for l in ls if l == 0)
+        if n_zero > 1:
+            raise ValueError(f"at most one mode index may be zero, got {ls}")
+
+    @property
+    def index_norm(self) -> float:
+        """sqrt(l_x^2 + l_y^2 + l_z^2)."""
+        return math.sqrt(self.l_x**2 + self.l_y**2 + self.l_z**2)
+
+
+def mode_frequency(mode: ModeIndices, length: float, c: float) -> float:
+    """Angular frequency Omega = c*|k| with k_i = l_i*pi/L."""
+    if length <= 0:
+        raise ValueError("cavity length must be positive")
+    return c * math.pi / length * mode.index_norm
+
+
 class TimeConvention(Enum):
     """Photon storage time for a lossy cavity of finesse F."""
 
     PI = "pi"            # T = L*F/(pi*c)
     CAPTION = "caption"  # T = L*F/c
+
+
+class LengthConvention(Enum):
+    LIGHT_SIGNAL = "light-signal"
+    RIGID_RODS = "rigid-rods"
 
 
 @dataclass(frozen=True)

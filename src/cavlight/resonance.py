@@ -11,13 +11,12 @@ not.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .greens import _gauss_rule, check_points
-from .physical import ExperimentConfig, check_photon_number, derive_params
+from .physical import ExperimentConfig, LengthConvention, check_photon_number, derive_params
 
 PI = math.pi
 # Gauss-Legendre orders along the propagation line and per cross-section axis
@@ -25,11 +24,6 @@ N_LINE = 24
 N_CROSS = 6
 # epsilon_point's range from the box centre; see _unit_convolution's error
 MAX_EPSILON_DISTANCE = 100.0
-
-
-class LengthConvention(Enum):
-    LIGHT_SIGNAL = "light-signal"
-    RIGID_RODS = "rigid-rods"
 
 
 def _unit_convolution(points) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from cavlight.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_REGIME,
+    _log_sweep,
     main,
 )
 from cavlight.greens import kernel
@@ -466,6 +468,19 @@ def test_tradeoff_solution_and_sweep(config_path, tmp_path):
     assert q[0] > b[0] and q[-1] < b[-1]
 
 
+@pytest.mark.parametrize("points", [1, 2, 3, 7, 101, 1000])
+def test_tradeoff_sweep_is_logspace_to_one_ulp(points):
+    # the sweep takes np.logspace's exponents; 10**x may differ from
+    # numpy's power by one ulp, which no 9-digit output has shown
+    rng = np.random.default_rng(points)
+    for centre, half in zip(rng.uniform(-40.0, 40.0, 50), rng.uniform(1e-3, 30.0, 50)):
+        lo, hi = centre - half, centre + half
+        sweep = _log_sweep(lo, hi, points)
+        assert len(sweep) == points and sweep[0] == 10.0**lo and sweep[-1] == 10.0 ** (hi if points > 1 else lo)
+        ulps = np.abs(np.array(sweep).view(np.int64) - np.logspace(lo, hi, points).view(np.int64))
+        assert ulps.max() <= 1
+
+
 def test_tradeoff_csv_header(config_path, capsys):
     # provenance lines sorted, then solution lines sorted, then the columns
     assert main(["tradeoff", "--config", config_path, "--format", "csv", "--points", "3"]) == EXIT_OK
@@ -540,7 +555,7 @@ def test_installed_entry_point_version():
 
 
 def test_import_does_not_load_scipy():
-    # start-up guard: the package and its CLI need numpy only
+    # start-up guard: nothing in the package or its CLI needs scipy
     proc = subprocess.run(
         [
             sys.executable,
@@ -552,6 +567,40 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-c", "import cavlight"],
+        ["-m", "cavlight.cli", "bounds"],
+        ["-m", "cavlight.cli", "tradeoff"],
+        ["-m", "cavlight.cli", "validate", "--n", "1e25"],
+    ],
+    ids=["import", "bounds", "tradeoff", "validate"],
+)
+def test_closed_form_paths_do_not_load_numpy(args, config_path):
+    # start-up guard: numpy is most of the start-up of these fast paths
+    if args[0] == "-m":
+        args = [*args, "--config", config_path]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "cavlight" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+def test_public_names_resolve_to_their_modules():
+    import cavlight
+
+    for name in cavlight.__all__:
+        obj = getattr(cavlight, name)
+        if name != "__version__":
+            assert obj.__module__.startswith("cavlight.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+    assert {"ModeIndices", "LengthConvention", "metric_grid", "table1"} <= set(cavlight.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        cavlight.not_a_name
 
 
 def test_import_does_not_load_the_process_pool():

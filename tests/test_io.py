@@ -62,6 +62,20 @@ def test_dump_json_rounds_every_float():
     assert dump_json({"v": 2.5}) == '{\n  "v": 2.5\n}\n'
 
 
+def test_dump_json_rounds_repeated_values_as_each_alone():
+    # a list rounds each distinct nonzero float once; the text must match the
+    # per-value rule for repeats, zeros of either sign, NaN, infinities and
+    # equal values of other types
+    nan = math.nan
+    values = [0.0, -0.0, 0.0, nan, nan, math.inf, -math.inf, 1 / 3, 1 / 3, np.float64(1 / 3), 1, 1.0, True,
+              1.0000000001, 1.0000000004, -0.0, (-0.0, 2 / 3, 2 / 3), float("nan"), math.pi]
+    per_value = [[round9(x) for x in v] if isinstance(v, tuple) else round9(v) if isinstance(v, float) else v
+                 for v in values]
+    text = dump_json({"v": values})
+    assert text == json.dumps({"v": per_value}, indent=2, sort_keys=True) + "\n"
+    assert [line.strip() for line in text.splitlines()[2:5]] == ["0.0,", "-0.0,", "0.0,"]
+
+
 def test_dump_csv_layout():
     # each block sorted on its own, block floats rounded, one row per tuple
     rows = [(1 / 3, 2), (np.float64(1e-300), -0.0)]

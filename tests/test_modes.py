@@ -1,4 +1,4 @@
-"""Tests for mode indices and the dimensionless stress-tensor components."""
+"""Tests for the dimensionless stress-tensor components."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cavlight.modes import (
-    ModeIndices,
     f1,
     f2,
     f3,
     f3_tilde,
     f4,
-    mode_frequency,
     stress_components_011,
     stress_components_01M,
 )
@@ -21,20 +19,6 @@ from cavlight.modes import (
 PI = math.pi
 
 angles = st.floats(min_value=0.0, max_value=PI, allow_nan=False)
-
-
-def test_mode_indices_validation():
-    with pytest.raises(ValueError):
-        ModeIndices(0, 0, 5)  # two zero indices
-    with pytest.raises(ValueError):
-        ModeIndices(-1, 1, 1)
-
-
-def test_mode_frequency():
-    mode = ModeIndices(0, 1, 1)
-    assert mode_frequency(mode, 2.0, 3e8) == pytest.approx(3e8 * PI / 2.0 * math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        mode_frequency(mode, 0.0, 3e8)
 
 
 @given(angles, angles)

@@ -9,12 +9,13 @@ from cavlight.physical import (
     CODATA,
     DimensionlessParams,
     ExperimentConfig,
+    ModeIndices,
     TimeConvention,
     derive_params,
+    mode_frequency,
     storage_time,
     validate_regime,
 )
-from cavlight.modes import ModeIndices
 
 
 DEFAULT = ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4)
@@ -33,6 +34,20 @@ def test_nonlinear_qed_length_scale():
 def test_constants_are_frozen():
     with pytest.raises(Exception):
         CODATA.c = 1.0
+
+
+def test_mode_indices_validation():
+    with pytest.raises(ValueError):
+        ModeIndices(0, 0, 5)  # two zero indices
+    with pytest.raises(ValueError):
+        ModeIndices(-1, 1, 1)
+
+
+def test_mode_frequency():
+    mode = ModeIndices(0, 1, 1)
+    assert mode_frequency(mode, 2.0, 3e8) == pytest.approx(3e8 * math.pi / 2.0 * math.sqrt(2.0))
+    with pytest.raises(ValueError):
+        mode_frequency(mode, 0.0, 3e8)
 
 
 def test_config_validation():

@@ -8,10 +8,8 @@ import pytest
 from cavlight import greens
 from cavlight.greens import QuadratureSpec, convolve_points
 from cavlight.fields import SRC_UNIT
-from cavlight.modes import ModeIndices
-from cavlight.physical import ExperimentConfig, derive_params
+from cavlight.physical import ExperimentConfig, LengthConvention, ModeIndices, derive_params
 from cavlight.resonance import (
-    LengthConvention,
     _unit_convolution,
     epsilon_point,
     frequency_shift,
