@@ -2,8 +2,9 @@
 measuring the speed of light.
 
 Every public name loads its module on first use (PEP 562), so importing
-the package, or the closed-form modules behind ``bounds``, ``tradeoff``
-and ``validate``, does not import numpy.
+the package, or the closed-form modules behind ``bounds``, ``tradeoff``,
+``validate``, ``frequency-shift`` and ``kernel`` (``physical``, ``bounds``,
+``closedform`` and ``resonance``), does not import numpy.
 """
 
 import importlib

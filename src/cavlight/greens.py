@@ -26,11 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .closedform import MAX_COORDINATE, POINT_RULE, SINGULAR_LINE, SingularKernelError
+
 PI = math.pi
-
-
-class SingularKernelError(ValueError):
-    """Kernel evaluated on its singular line (rho = 0, 0 <= xi <= pi)."""
 
 
 @dataclass(frozen=True)
@@ -127,12 +125,6 @@ def _kernel_arrays(xi, eta, zeta):
     return out
 
 
-# bound on |coordinate| of every evaluation point: against 60-digit arithmetic the
-# kernel's worst relative error over 20 directions is 8e-16 at distance 10, 8e-11
-# at 1e6, 7e-9 at 1e8 and 1e-2 at 1e14, and past about 1e154 it is NaN
-MAX_COORDINATE = 1e6
-
-
 def check_points(points) -> np.ndarray:
     """The points as a float (N, 3) array; ValueError unless they form a
     non-empty (N, 3) array of finite coordinates with |c| <= MAX_COORDINATE."""
@@ -142,10 +134,7 @@ def check_points(points) -> np.ndarray:
         pts = np.empty(0)
     # NaN fails the <= too
     if pts.shape[1:] != (3,) or not len(pts) or not np.all(np.abs(pts) <= MAX_COORDINATE):
-        raise ValueError(
-            "evaluation points must form a non-empty (N, 3) array of three finite coordinates, "
-            f"each within +-{MAX_COORDINATE:g}"
-        )
+        raise ValueError(POINT_RULE)
     return pts
 
 
@@ -153,7 +142,7 @@ def kernel(xi: float, eta: float, zeta: float):
     """Kernel I(xi, eta, zeta); raises on the singular line and for points check_points rejects."""
     x, e, z = check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3)).T
     if np.any((e * e + z * z == 0.0) & (x >= 0.0) & (x <= PI)):
-        raise SingularKernelError(f"kernel is singular at rho=0 with xi={xi} in [0, pi]")
+        raise SingularKernelError(SINGULAR_LINE.format(xi))
     out = _kernel_arrays(xi, eta, zeta)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -16,6 +16,7 @@ from cavlight.bounds import ProbeKind, optimal_tradeoff
 from cavlight.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_QUADRATURE,
     EXIT_REGIME,
     _log_sweep,
     main,
@@ -570,21 +571,29 @@ def test_import_does_not_load_scipy():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, code",
     [
-        ["-c", "import cavlight"],
-        ["-m", "cavlight.cli", "bounds"],
-        ["-m", "cavlight.cli", "tradeoff"],
-        ["-m", "cavlight.cli", "validate", "--n", "1e25"],
+        (["-c", "import cavlight"], EXIT_OK),
+        (["bounds"], EXIT_OK),
+        (["tradeoff"], EXIT_OK),
+        (["validate", "--n", "1e25"], EXIT_OK),
+        (["frequency-shift", "--n", "1e20", "--transverse", "center"], EXIT_OK),
+        (["frequency-shift", "--n", "1e20", "--transverse", "average"], EXIT_OK),
+        (["kernel", "1.1", "0.7", "2.2"], EXIT_OK),
+        (["kernel", "0.5", "0", "0"], EXIT_QUADRATURE),
+        (["kernel", "nan", "1", "1"], EXIT_CONFIG),
     ],
-    ids=["import", "bounds", "tradeoff", "validate"],
+    ids=[
+        "import", "bounds", "tradeoff", "validate", "frequency-shift-center", "frequency-shift-average", "kernel",
+        "kernel-singular", "kernel-bad-point",
+    ],
 )
-def test_closed_form_paths_do_not_load_numpy(args, config_path):
+def test_closed_form_paths_do_not_load_numpy(args, code, config_path):
     # start-up guard: numpy is most of the start-up of these fast paths
-    if args[0] == "-m":
-        args = [*args, "--config", config_path]
+    if args[0] != "-c":
+        args = ["-m", "cavlight.cli", *args, *([] if args[0] == "kernel" else ["--config", config_path])]
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "cavlight" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]

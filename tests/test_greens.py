@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavlight import greens, modes
+from cavlight import closedform, greens, modes
 from cavlight.greens import (
     QuadratureSpec,
     SingularKernelError,
@@ -25,6 +25,7 @@ from cavlight.fields import (
     SRC_LARGE_M,
     SRC_UNIT,
 )
+from cavlight.resonance import epsilon_point
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -243,10 +244,13 @@ def test_convolve_points_rejects_bad_input(points, threads, match):
 
 @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, 1e308, -1.0000001e6])
 def test_point_rule_is_shared(coordinate):
-    # kernel, convolve_points and the oracle refuse the same points with one message
+    # both kernels, convolve_points, the oracle and epsilon_point refuse the
+    # same points with one message
     point = (1.0, coordinate, 1.0)
     calls = [
         lambda: kernel(*point),
+        lambda: closedform.line_kernel(*point),
+        lambda: epsilon_point(point),
         lambda: greens.convolve_points(SRC_UNIT, [CENTER, point]),
         lambda: mc_oracle_many([SRC_UNIT], point, 1000),
     ]
@@ -255,6 +259,7 @@ def test_point_rule_is_shared(coordinate):
             call()
     edge = (1.0, greens.MAX_COORDINATE, -greens.MAX_COORDINATE)
     assert greens.check_points([edge]).tolist() == [list(edge)]
+    assert closedform.check_point(edge) == edge
 
 
 def test_mc_oracle_is_deterministic():

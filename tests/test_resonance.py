@@ -99,6 +99,11 @@ def test_epsilon_point_range():
         epsilon_point((1e6 + 1.0, 0.0, 0.0))
 
 
+def test_epsilon_point_next_to_an_edge():
+    # one corner's ln argument (a^2+b^2)/(r-c) rounds to 0 here, and its term is below 1e-320
+    assert epsilon_point((2.3e-162, 2.3e-162, 3.0)) == pytest.approx(epsilon_point((0.0, 0.0, 3.0)), rel=1e-15)
+
+
 def test_line_average_center_frozen():
     assert line_average_epsilon() == pytest.approx(LINE_AVG_CENTER, rel=1e-12)
 
