@@ -21,14 +21,13 @@ import warnings
 
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
-from .closedform import SingularKernelError, line_kernel
 from .io import (
     dump_csv, dump_json, fieldmap_to_csv, fieldmap_to_json, fmt, provenance_block, table_to_json, table_to_text,
 )
 from .physical import ExperimentConfig, LengthConvention, ModeIndices, TimeConvention, derive_params, validate_regime
-from .resonance import frequency_shift
 
-# fieldmap, fields and greens load numpy: only field-map imports them
+# fieldmap, fields and greens load numpy, and closedform and resonance take
+# 2-4 ms to import: only the commands that use them import them
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -226,6 +225,7 @@ def cmd_tradeoff(args) -> tuple[int, str]:
 
 
 def cmd_frequency_shift(args) -> tuple[int, str]:
+    from .resonance import frequency_shift
     config, raw = load_config(args.config)
     with _config_errors():
         shift = frequency_shift(config, args.n, LengthConvention(args.convention), args.transverse)
@@ -262,6 +262,7 @@ def cmd_validate(args) -> tuple[int, str]:
 
 
 def cmd_kernel(args) -> tuple[int, str | None]:
+    from .closedform import SingularKernelError, line_kernel
     with _config_errors():
         try:
             value = line_kernel(args.xi, args.eta, args.zeta)
