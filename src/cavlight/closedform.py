@@ -22,6 +22,10 @@ POINT_RULE = (
     f"each within +-{MAX_COORDINATE:g}"
 )
 SINGULAR_LINE = "kernel is singular at rho=0 with xi={} in [0, pi]"
+# below this rho^2 (rho < 1e-150) the kernel's stable sums or their ratio
+# can leave the normal range within |c| <= MAX_COORDINATE, so both kernels
+# take the logs of the sums apart there
+NEAR_AXIS_RHO2 = 1e-300
 
 
 class SingularKernelError(ValueError):
@@ -55,17 +59,20 @@ def line_kernel(xi: float, eta: float, zeta: float) -> float:
     point that check_point refuses."""
     x, e, z = check_point((xi, eta, zeta))
     rho2 = e * e + z * z
-    if rho2 == 0.0:
-        if 0.0 <= x <= PI:
+    if rho2 < NEAR_AXIS_RHO2:
+        if rho2 == 0.0 and 0.0 <= x <= PI:
             raise SingularKernelError(SINGULAR_LINE.format(xi))
-        # on the axis outside the segment: the limit ln((pi - xi)/(-xi)) resp. ln(xi/(xi - pi))
-        return math.log((PI - x) / -x if x < 0.0 else x / (x - PI))
-    num = _stable_sum(x, rho2)
-    den = _stable_sum(x - PI, rho2)
-    # a subnormal rho2 can round den, and then num, to 0: divide as IEEE does
-    if not den:
-        return math.inf if num else math.nan
-    return math.log(num / den)
+        # the logs apart, with each end's B = |x| + hypot(x, rho): on the
+        # segment ln B0 + ln B1 - 2 ln rho; off it ln rho^2 cancels, and on
+        # the axis B1/B0 is the limit (pi - xi)/(-xi) resp. B0/B1 is xi/(xi - pi)
+        rho = math.hypot(e, z)
+        u = x - PI
+        lo = abs(x) + math.hypot(x, rho)
+        hi = abs(u) + math.hypot(u, rho)
+        if x >= 0.0 > u:
+            return math.log(lo) + math.log(hi) - 2.0 * math.log(rho)
+        return math.log(hi / lo if x < 0.0 else lo / hi)
+    return math.log(_stable_sum(x, rho2) / _stable_sum(x - PI, rho2))
 
 
 def _prism_term(a: float, b: float, c: float, r: float) -> float:

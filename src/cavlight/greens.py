@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closedform import MAX_COORDINATE, POINT_RULE, SINGULAR_LINE, SingularKernelError
+from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SINGULAR_LINE, SingularKernelError
 
 PI = math.pi
 
@@ -100,29 +100,45 @@ def _stable_sum(x, rho2, s):
     return s
 
 
-def _kernel_arrays(xi, eta, zeta):
+def _kernel_arrays(xi, eta, zeta, *, out=None):
     """Vectorized kernel without singularity checks.
 
     The arguments broadcast against each other; separable eta and zeta
     offsets of shapes (n, 1, P) and (1, n, P) are squared before they
-    are broadcast.
+    are broadcast.  ``out``, if given, is a float array of the broadcast
+    shape that receives the result.
     """
     xi = np.asarray(xi, dtype=float)
     rho2 = np.square(eta, dtype=float) + np.square(zeta, dtype=float)
     u = xi - PI
-    num = np.asarray(xi * xi + rho2)
+    num = np.asarray(np.add(xi * xi, rho2, out=out))
     den = np.asarray(u * u + rho2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a tiny rho2 can overflow the ratio; those entries are replaced below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _stable_sum(xi, rho2, np.sqrt(num, out=num))
         _stable_sum(u, rho2, np.sqrt(den, out=den))
-        out = np.log(np.divide(num, den, out=num), out=num)
-        # on the axis rho = 0 outside the segment both branches vanish;
-        # substitute the finite limit ln((pi - xi)/(-xi)) resp. ln(xi/(xi - pi))
-        axis = rho2 == 0.0
-        if np.any(axis):
-            limit = np.where(xi < 0.0, (PI - xi) / (-xi), xi / u)
-            out = np.where(axis, np.log(limit), out)
-    return out
+        result = np.log(np.divide(num, den, out=num), out=num)
+        # on the axis rho = 0 and next to it the sums or their ratio leave
+        # the normal range; there the logs are taken apart
+        tiny = rho2 < NEAR_AXIS_RHO2
+        if np.any(tiny):
+            np.copyto(result, _near_axis(xi, eta, zeta), where=tiny)
+    return result
+
+
+def _near_axis(xi, eta, zeta):
+    """The kernel from the ends' B = |x| + hypot(x, rho) and ln rho apart.
+
+    On the segment (x >= 0 > u at its ends) it is ln B0 + ln B1 - 2 ln rho;
+    off it ln rho^2 cancels, leaving the log of a ratio of B, which on the
+    axis is the limit ln((pi - xi)/(-xi)) resp. ln(xi/(xi - pi)).
+    """
+    rho = np.hypot(eta, zeta)
+    u = xi - PI
+    lo = np.abs(xi) + np.hypot(xi, rho)
+    hi = np.abs(u) + np.hypot(u, rho)
+    on_segment = (xi >= 0.0) & (u < 0.0)
+    return np.where(on_segment, np.log(lo) + np.log(hi) - 2.0 * np.log(rho), np.log(np.where(xi < 0.0, hi / lo, lo / hi)))
 
 
 def check_points(points) -> np.ndarray:
@@ -345,6 +361,14 @@ _BATCH_COST = 1024
 _POOL_COST = 2048
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    keeps one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _batch_bounds(cost) -> list[int]:
     bounds = [0]
     total = 0
@@ -375,7 +399,7 @@ def convolve_points(
     cost = np.where(inside, _SINGULAR_COST, 1)
     bounds = _batch_bounds(cost)
     jobs = [(source, pts[s:e], spec) for s, e in zip(bounds[:-1], bounds[1:])]
-    workers = min((os.cpu_count() or 1) if threads == 0 else threads, len(jobs))
+    workers = min(_cpu_count() if threads == 0 else threads, len(jobs))
     if workers > 1 and cost.sum() >= _POOL_COST:
         # imported here: it costs every CLI start-up ~20 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
@@ -433,6 +457,44 @@ def _double_angle(x, out):
     return out
 
 
+def _mc_run(job):
+    """Row sums and Gram matrices, one per block, of samples start..stop-1
+    of a draw of m samples whose first generator output is number first.
+
+    job is (seed, point_index, point, first, m, start, stop).  Sample j of
+    the draw takes output first + j for eta' and first + m + j for zeta',
+    one output per double, so the run jumps its own two generators there.
+    """
+    seed, point_index, (xi, eta, zeta), first, m, start, stop = job
+    eta_rng = _mc_rng(seed, point_index)
+    eta_rng.bit_generator.advance(first + start)
+    zeta_rng = _mc_rng(seed, point_index)
+    zeta_rng.bit_generator.advance(first + m + start)
+    block = np.empty((5, _MC_BLOCK))
+    # cos 2x and sin 2x of one axis at a time; before that, the kernel's
+    # eta and zeta offsets
+    trig = np.empty((2, _MC_BLOCK))
+    sums, grams = [], []
+    for s in range(start, stop, _MC_BLOCK):
+        n = min(_MC_BLOCK, stop - s)
+        ep = eta_rng.uniform(0.0, PI, n)
+        zp = zeta_rng.uniform(0.0, PI, n)
+        kb = block[:, :n]
+        offsets = np.subtract(eta, ep, out=trig[0, :n]), np.subtract(zeta, zp, out=trig[1, :n])
+        _kernel_arrays(xi, *offsets, out=kb[0])
+        # row c is the kernel times its eta factor, then its zeta factor;
+        # factor f >= 1 is cos (1) or sin (2) of the doubled angle
+        for axis, x in enumerate((ep, zp)):
+            factors = _double_angle(x, trig[:, :n])
+            for row, pair in zip(kb[1:], _BASIS[1:]):
+                if pair[axis]:
+                    np.multiply(row if axis and pair[0] else kb[0], factors[pair[axis] - 1], out=row)
+        sums.append(kb.sum(axis=1))
+        # einsum, not BLAS, so the sums do not depend on BLAS threads
+        grams.append(np.einsum("ik,jk->ij", kb, kb))
+    return sums, grams
+
+
 def mc_oracle_many(
     sources,
     point,
@@ -451,6 +513,10 @@ def mc_oracle_many(
     ``basis``, which must be one row of five; ``sources`` must not be
     empty and ``point`` is (xi, eta, zeta).  Returns a (mean, standard
     error) pair per source.
+
+    The blocks of each draw are split into one contiguous run per CPU,
+    run on threads, and added in block order, so the estimates are the
+    same bits for any CPU count.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -462,38 +528,30 @@ def mc_oracle_many(
     for src in sources:
         if np.shape(src.basis) != (5,):
             raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
-    xi, eta, zeta = check_points([point])[0].tolist()
+    point = tuple(check_points([point])[0].tolist())
     coef = np.array([src.basis for src in sources], dtype=float).T  # (5, sources)
-    rng = _mc_rng(seed, point_index)
+    cpus = _cpu_count()
+    runs = []  # in draw order, and in block order within a draw
+    for done in range(0, samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - done)
+        blocks = -(-m // _MC_BLOCK)
+        workers = min(cpus, blocks)
+        cuts = [min(m, blocks * k // workers * _MC_BLOCK) for k in range(workers + 1)]
+        runs += [(seed, point_index, point, 2 * done, m, a, b) for a, b in zip(cuts, cuts[1:])]
+    if len(runs) > 1 and cpus > 1:
+        # imported here: it costs every CLI start-up otherwise
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(cpus, len(runs))) as pool:
+            parts = list(pool.map(_mc_run, runs))
+    else:
+        parts = [_mc_run(run) for run in runs]
     basis_sums = np.zeros(5)
     gram = np.zeros((5, 5))
-    block = np.empty((5, _MC_BLOCK))
-    # cos 2x and sin 2x of one axis at a time; before that, the kernel's
-    # eta and zeta offsets
-    trig = np.empty((2, _MC_BLOCK))
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        ep_all = rng.uniform(0.0, PI, m)
-        zp_all = rng.uniform(0.0, PI, m)
-        for s in range(0, m, _MC_BLOCK):
-            ep = ep_all[s : s + _MC_BLOCK]
-            zp = zp_all[s : s + _MC_BLOCK]
-            n = len(ep)
-            kb = block[:, :n]
-            offsets = np.subtract(eta, ep, out=trig[0, :n]), np.subtract(zeta, zp, out=trig[1, :n])
-            kb[0] = _kernel_arrays(xi, *offsets)
-            # row c is the kernel times its eta factor, then its zeta factor;
-            # factor f >= 1 is cos (1) or sin (2) of the doubled angle
-            for axis, x in enumerate((ep, zp)):
-                factors = _double_angle(x, trig[:, :n])
-                for row, pair in zip(kb[1:], _BASIS[1:]):
-                    if pair[axis]:
-                        np.multiply(row if axis and pair[0] else kb[0], factors[pair[axis] - 1], out=row)
-            basis_sums += kb.sum(axis=1)
-            # einsum, not BLAS, so the sums do not depend on BLAS threads
-            gram += np.einsum("ik,jk->ij", kb, kb)
-        done += m
+    for run_sums, run_grams in parts:
+        for block_sums, block_gram in zip(run_sums, run_grams):
+            basis_sums += block_sums
+            gram += block_gram
     sumsq = np.einsum("ij,ik,jk->k", gram, coef, coef)
     sums = basis_sums @ coef
     vol = PI * PI

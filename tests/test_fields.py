@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -292,6 +293,15 @@ def test_metric_grid_starts_a_pool_only_when_the_work_pays(monkeypatch):
     assert pools == [2]
     for name in pooled.components:
         assert np.array_equal(pooled.components[name], serial.components[name])
+
+
+def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
+    # as under taskset: with one usable CPU of several, no pool starts
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert greens._cpu_count() == 1
+    metric_grid(GridSpec(*[(0.5, 0.8, 4)] * 3), QuadratureSpec(rel_tol=1e-4), big_m=1000, threads=0)
+    assert pools == []
 
 
 def _count_nodes(monkeypatch):

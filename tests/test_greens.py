@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cavlight import closedform, greens, modes
+from cavlight.cli import main
+from cavlight.io import fmt
 from cavlight.greens import (
     QuadratureSpec,
     SingularKernelError,
@@ -17,6 +19,7 @@ from cavlight.greens import (
 )
 from cavlight.fields import (
     _SRC_G,
+    G_SOURCES,
     SRC_F1,
     SRC_F2,
     SRC_F3,
@@ -120,6 +123,41 @@ def test_kernel_vectorized_matches_scalar():
     vec = kernel(0.7, eta, zeta)
     for i in range(3):
         assert vec[i] == kernel(0.7, float(eta[i]), float(zeta[i]))
+
+
+# points next to the segment's axis where rho^2 is subnormal or nearly so:
+# on the segment, off it, and with a ratio of sums that would overflow
+NEAR_AXIS = [(2.0, 2.2e-162, 0.0), (-2.0, 2.2e-162, 0.0), (1.0, 1.4916681462400413e-154, 0.0)]
+
+
+def _small_rho(xi, eta, zeta):
+    """ln(4 xi (pi - xi)) - 2 ln rho on the segment, ln((pi - xi)/(-xi)) resp.
+    ln(xi/(xi - pi)) off it; both exact to O(rho^2)."""
+    if 0.0 <= xi <= PI:
+        return math.log(4.0 * xi * (PI - xi)) - 2.0 * math.log(math.hypot(eta, zeta))
+    return math.log((PI - xi) / -xi if xi < 0.0 else xi / (xi - PI))
+
+
+@pytest.mark.parametrize("point", NEAR_AXIS, ids=["on-segment", "off-segment", "ratio-overflow"])
+def test_kernel_next_to_the_axis(point, capsys):
+    want = _small_rho(*point)
+    assert kernel(*point) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert closedform.line_kernel(*point) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert main(["kernel", *map(repr, point)]) == 0
+    assert capsys.readouterr().out == fmt(want) + "\n"
+
+
+def test_kernel_is_continuous_across_the_near_axis_branch():
+    # rho from 1e-160 to 1e-130 crosses rho^2 = NEAR_AXIS_RHO2 (rho = 1e-150);
+    # on both sides the kernel is the small-rho form to rounding
+    rhos = np.logspace(-160.0, -130.0, 61)
+    for xi in [-2.0, 1e-3, 0.5, 2.0, PI - 1e-3, 4.0]:
+        for rho in rhos.tolist():
+            want = _small_rho(xi, rho, 0.0)
+            assert kernel(xi, 0.0, rho) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert closedform.line_kernel(xi, rho, 0.0) == pytest.approx(want, rel=1e-15, abs=0.0)
+    vec = kernel(0.5, rhos, 0.0)
+    assert vec.tolist() == [kernel(0.5, rho, 0.0) for rho in rhos.tolist()]
 
 
 def test_quadrature_spec_validation():
@@ -269,6 +307,35 @@ def test_mc_oracle_is_deterministic():
     # a different point index gives an independent stream
     other = mc_oracle_many([SRC_UNIT], CENTER, 100_000, seed=42, point_index=1)[0]
     assert other[0] != got[0]
+
+
+def test_mc_stream_advance_matches_a_longer_draw():
+    # the oracle's runs jump their generators to their first sample; a jump
+    # of k outputs then a draw of n equals the tail of one draw of k + n
+    for k in [0, 1, 32_768, 1_000_007]:
+        jumped = greens._mc_rng(42, 3)
+        jumped.bit_generator.advance(k)
+        drawn = greens._mc_rng(42, 3).uniform(0.0, PI, k + 1000)[k:]
+        assert jumped.uniform(0.0, PI, 1000).tolist() == drawn.tolist()
+
+
+@pytest.mark.parametrize("point", [(1.0, 0.8, 2.2), (-0.7, 4.0, 1.3)], ids=["interior", "exterior"])
+def test_mc_oracle_is_the_same_bits_for_any_cpu_count(monkeypatch, point):
+    sources = list(G_SOURCES) + [SRC_LARGE_M]
+    counts = [1000, 32_769, 1_040_000, 2_000_001]
+    runs = []
+    mc_run = greens._mc_run
+    monkeypatch.setattr(greens, "_mc_run", lambda job: runs.append(job) or mc_run(job))
+    results = {}
+    for cpus in [1, 2, 3, 5]:
+        monkeypatch.setattr(greens, "_cpu_count", lambda cpus=cpus: cpus)
+        runs.clear()
+        results[cpus] = [mc_oracle_many(sources, point, n, seed=42, point_index=7) for n in counts]
+        # each draw of at most _MC_CHUNK samples splits into min(cpus, blocks) runs
+        draws = [min(greens._MC_CHUNK, n - done) for n in counts for done in range(0, n, greens._MC_CHUNK)]
+        assert len(runs) == sum(min(cpus, -(-m // greens._MC_BLOCK)) for m in draws)
+    for cpus in [2, 3, 5]:
+        assert results[cpus] == results[1]
 
 
 @pytest.mark.parametrize(
