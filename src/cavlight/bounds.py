@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .physical import CODATA, DimensionlessParams, ExperimentConfig, derive_params, storage_time
+from .physical import CODATA, DimensionlessParams, ExperimentConfig, check_photon_number, derive_params, storage_time
 
 
 class ProbeKind(Enum):
@@ -34,7 +34,8 @@ class ProbeState:
     coherent_formula: CoherentFormula = CoherentFormula.ASYMPTOTIC
 
     def __post_init__(self):
-        if self.n <= 0:
+        check_photon_number(self.n)
+        if self.n == 0:
             raise ValueError("photon number must be positive")
 
 
@@ -61,8 +62,9 @@ def qcrb(state: ProbeState, tau: float) -> float:
 
 def backaction(n: float, big_m: int, kappa: float) -> float:
     """Signed light-speed modification -kappa*n*M caused by the probe."""
-    if n < 0 or big_m < 1:
-        raise ValueError("need n >= 0 and M >= 1")
+    check_photon_number(n)
+    if isinstance(big_m, bool) or not 1 <= big_m < math.inf:  # NaN fails too
+        raise ValueError(f"need M >= 1, got {big_m!r}")
     shift = -kappa * n * big_m
     if shift == -math.inf:
         raise ValueError(f"back-action at n={n:.3g} is outside float range")

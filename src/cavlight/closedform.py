@@ -3,8 +3,8 @@
 The point rule, the line kernel I(xi, eta, zeta), the Newtonian potential
 of the box [0, pi]^3 and the Gauss-Legendre rule on [0, 1] need only
 ``math``, so the ``frequency-shift`` and ``kernel`` commands load no
-numpy.  ``greens`` keeps the vectorized kernel and takes its point bound,
-message and singular-line error from here.
+numpy.  ``greens`` keeps the vectorized kernel and takes from here its point
+bound, message, singular-line error, Gauss rule and near-axis values.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ POINT_RULE = (
 )
 SINGULAR_LINE = "kernel is singular at rho=0 with xi={} in [0, pi]"
 # below this rho^2 (rho < 1e-150) the kernel's stable sums or their ratio
-# can leave the normal range within |c| <= MAX_COORDINATE, so both kernels
-# take the logs of the sums apart there
+# can leave the normal range within |c| <= MAX_COORDINATE, so line_kernel takes
+# the logs of the sums apart there, also for greens' vectorized kernel
 NEAR_AXIS_RHO2 = 1e-300
 
 
@@ -60,7 +60,7 @@ def line_kernel(xi: float, eta: float, zeta: float) -> float:
     x, e, z = check_point((xi, eta, zeta))
     rho2 = e * e + z * z
     if rho2 < NEAR_AXIS_RHO2:
-        if rho2 == 0.0 and 0.0 <= x <= PI:
+        if e == z == 0.0 and 0.0 <= x <= PI:
             raise SingularKernelError(SINGULAR_LINE.format(xi))
         # the logs apart, with each end's B = |x| + hypot(x, rho): on the
         # segment ln B0 + ln B1 - 2 ln rho; off it ln rho^2 cancels, and on

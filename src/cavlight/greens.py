@@ -19,6 +19,7 @@ independent verification oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SINGULAR_LINE, SingularKernelError
+from .closedform import gauss_legendre, line_kernel
 
 PI = math.pi
 
@@ -106,7 +108,10 @@ def _kernel_arrays(xi, eta, zeta, *, out=None):
     The arguments broadcast against each other; separable eta and zeta
     offsets of shapes (n, 1, P) and (1, n, P) are squared before they
     are broadcast.  ``out``, if given, is a float array of the broadcast
-    shape that receives the result.
+    shape that receives the result.  The entries with rho^2 below
+    NEAR_AXIS_RHO2 take their values from closedform.line_kernel, so an
+    entry exactly on the singular line raises SingularKernelError; kernel
+    refuses such points first, and no Gauss node lands on one.
     """
     xi = np.asarray(xi, dtype=float)
     rho2 = np.square(eta, dtype=float) + np.square(zeta, dtype=float)
@@ -118,27 +123,13 @@ def _kernel_arrays(xi, eta, zeta, *, out=None):
         _stable_sum(xi, rho2, np.sqrt(num, out=num))
         _stable_sum(u, rho2, np.sqrt(den, out=den))
         result = np.log(np.divide(num, den, out=num), out=num)
-        # on the axis rho = 0 and next to it the sums or their ratio leave
-        # the normal range; there the logs are taken apart
-        tiny = rho2 < NEAR_AXIS_RHO2
-        if np.any(tiny):
-            np.copyto(result, _near_axis(xi, eta, zeta), where=tiny)
+    # next to the axis the sums or their ratio leave the normal range
+    tiny = rho2 < NEAR_AXIS_RHO2
+    if tiny.any():
+        tiny = np.broadcast_to(tiny, result.shape)
+        coords = [np.broadcast_to(c, result.shape)[tiny].tolist() for c in (xi, eta, zeta)]
+        result[tiny] = [line_kernel(*point) for point in zip(*coords)]
     return result
-
-
-def _near_axis(xi, eta, zeta):
-    """The kernel from the ends' B = |x| + hypot(x, rho) and ln rho apart.
-
-    On the segment (x >= 0 > u at its ends) it is ln B0 + ln B1 - 2 ln rho;
-    off it ln rho^2 cancels, leaving the log of a ratio of B, which on the
-    axis is the limit ln((pi - xi)/(-xi)) resp. ln(xi/(xi - pi)).
-    """
-    rho = np.hypot(eta, zeta)
-    u = xi - PI
-    lo = np.abs(xi) + np.hypot(xi, rho)
-    hi = np.abs(u) + np.hypot(u, rho)
-    on_segment = (xi >= 0.0) & (u < 0.0)
-    return np.where(on_segment, np.log(lo) + np.log(hi) - 2.0 * np.log(rho), np.log(np.where(xi < 0.0, hi / lo, lo / hi)))
 
 
 def check_points(points) -> np.ndarray:
@@ -157,20 +148,16 @@ def check_points(points) -> np.ndarray:
 def kernel(xi: float, eta: float, zeta: float):
     """Kernel I(xi, eta, zeta); raises on the singular line and for points check_points rejects."""
     x, e, z = check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3)).T
-    if np.any((e * e + z * z == 0.0) & (x >= 0.0) & (x <= PI)):
+    if np.any((e == 0.0) & (z == 0.0) & (x >= 0.0) & (x <= PI)):
         raise SingularKernelError(SINGULAR_LINE.format(xi))
     out = _kernel_arrays(xi, eta, zeta)
     return float(out) if np.ndim(out) == 0 else out
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GAUSS_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GAUSS_CACHE[order]
+    nodes, weights = gauss_legendre(order)
+    return np.array(nodes), np.array(weights)
 
 
 # integrand points evaluated per call: it bounds the temporaries of a
@@ -313,10 +300,10 @@ def _convolve_batch(job) -> QuadResult:
     rects = [_convolution_rects(p) for p in points.tolist()]
     owner = np.repeat(np.arange(len(rects)), [r.shape[1] for r in rects])
     rows = np.array(source.basis or (), dtype=float).reshape(-1, 5)
-    terms = {}  # {zeta factor: [(eta factor, (components, 1, 1) coefficients)]}
+    terms = {}  # {zeta factor: [(eta factor, (components, 1) coefficients)]}
     for column, (fe, fz) in zip(rows.T, _BASIS):
         if column.any():
-            terms.setdefault(fz, []).append((fe, column[:, None, None]))
+            terms.setdefault(fz, []).append((fe, column[:, None]))
     eta_factors = {fe for pairs in terms.values() for fe, _ in pairs}
 
     def rule(ep, zp, weights, ids):
@@ -324,23 +311,19 @@ def _convolve_batch(job) -> QuadResult:
         kern = _kernel_arrays(xi, eta - ep[:, None], zeta - zp)
         if source.basis is None:  # integrated pointwise
             return np.einsum("ijp,i,j->p", kern * source.fn(ep[:, None], zp), weights, weights)[:, None]
-        # per zeta factor, contract the kernel once against the weighted eta
-        # factors or their mix, whichever is fewer; operands are contiguous,
-        # as stride-0 ones slow einsum down
+        # per zeta factor, contract the kernel once against each weighted eta
+        # factor that pairs with it; operands are contiguous, as stride-0
+        # ones slow einsum down
         w = np.repeat(weights[:, None], ep.shape[1], axis=1)
         eta_f = {fe: w if fe == 0 else w * _TRIG[fe](2.0 * ep) for fe in eta_factors}
         out = np.zeros((len(rows), ep.shape[1]))
         for fz, pairs in terms.items():
             zeta_f = w if fz == 0 else w * _TRIG[fz](2.0 * zp)
-            if len(pairs) < len(rows):
-                # mix the basis integrals one term at a time, in a fixed order,
-                # so a point's bits do not depend on its batch
-                factors = np.stack([eta_f[fe] for fe, _ in pairs])
-                for (_, coef), integral in zip(pairs, np.einsum("ijp,jp,bip->bp", kern, zeta_f, factors)):
-                    out += coef[:, 0] * integral
-            else:
-                mixed = sum(coef * eta_f[fe] for fe, coef in pairs)
-                out += np.einsum("ijp,jp,kip->kp", kern, zeta_f, mixed)
+            factors = np.stack([eta_f[fe] for fe, _ in pairs])
+            # add the basis integrals one term at a time, in a fixed order,
+            # so a point's bits do not depend on its batch
+            for (_, coef), integral in zip(pairs, np.einsum("ijp,jp,bip->bp", kern, zeta_f, factors)):
+                out += coef * integral
         return out.T
 
     r = _adaptive(rule, np.concatenate(rects, axis=1), owner, spec)

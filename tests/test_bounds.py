@@ -34,6 +34,10 @@ def test_probe_state_validation():
         ProbeState(ProbeKind.OPTIMAL, 0.0)
     with pytest.raises(ValueError):
         ProbeState(ProbeKind.COHERENT, -2.0)
+    # one photon-number rule with validate_regime and frequency_shift, plus n > 0
+    for n in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="photon number"):
+            ProbeState(ProbeKind.OPTIMAL, n)
 
 
 def test_qcrb_optimal_state():
@@ -75,6 +79,12 @@ def test_backaction_sign_and_linearity():
         backaction(-1.0, 4, kappa)
     with pytest.raises(ValueError):
         backaction(1.0, 0, kappa)
+    for n in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="photon number"):
+            backaction(n, 1, kappa)
+    for big_m in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="M >= 1"):
+            backaction(1.0, big_m, kappa)
 
 
 def test_optimal_tradeoff_closed_form_balance():

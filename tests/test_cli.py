@@ -626,3 +626,17 @@ def test_import_does_not_load_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_field_map_does_not_load_numpy_polynomial():
+    # start-up guard: the quadrature's Gauss rule comes from closedform, so
+    # a map loads numpy but not numpy.polynomial
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cavlight.cli", "field-map", "--grid", "2", "--out", "/dev/null"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "numpy" in imported and "cavlight.greens" in imported
+    assert not [name for name in imported if name.startswith("numpy.polynomial")]

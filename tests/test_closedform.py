@@ -33,9 +33,9 @@ def test_line_kernel_matches_greens_kernel():
     want = greens.kernel(*points.T).tolist()
     got = [line_kernel(*p) for p in points.tolist()]
     assert all(abs(g - w) <= 2 * math.ulp(w) for g, w in zip(got, want))
-    # next to the axis, where rho2 is subnormal or the ratio would overflow,
-    # both kernels take the logs apart and stay finite
-    for point in [(2.0, 2.2e-162, 0.0), (-2.0, 2.2e-162, 0.0), (1.0, 1.4916681462400413e-154, 0.0)]:
+    # next to the axis, where rho2 is subnormal or 0 or the ratio would
+    # overflow, both kernels take the logs apart and stay finite
+    for point in [(2.0, 2.2e-162, 0.0), (-2.0, 2.2e-162, 0.0), (1.0, 1.4916681462400413e-154, 0.0), (2.0, 1e-170, 0.0)]:
         want = greens.kernel(*point)
         assert math.isfinite(want) and abs(line_kernel(*point) - want) <= 2 * math.ulp(want)
 
@@ -48,6 +48,9 @@ def test_line_kernel_singular_line_raises_as_greens(xi):
     with pytest.raises(SingularKernelError) as got:
         line_kernel(xi, 0.0, -0.0)
     assert str(got.value) == str(want.value)
+    # the vectorized kernel takes its near-axis entries from line_kernel
+    with pytest.raises(SingularKernelError):
+        greens._kernel_arrays(xi, np.array([1e-170, 0.0]), 0.0)
 
 
 @pytest.mark.parametrize("order", range(1, 25))

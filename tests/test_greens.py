@@ -126,8 +126,9 @@ def test_kernel_vectorized_matches_scalar():
 
 
 # points next to the segment's axis where rho^2 is subnormal or nearly so:
-# on the segment, off it, and with a ratio of sums that would overflow
-NEAR_AXIS = [(2.0, 2.2e-162, 0.0), (-2.0, 2.2e-162, 0.0), (1.0, 1.4916681462400413e-154, 0.0)]
+# on the segment, off it, with a ratio of sums that would overflow, and on
+# the segment with a rho^2 that rounds to 0 while rho does not
+NEAR_AXIS = [(2.0, 2.2e-162, 0.0), (-2.0, 2.2e-162, 0.0), (1.0, 1.4916681462400413e-154, 0.0), (2.0, 1e-170, 0.0)]
 
 
 def _small_rho(xi, eta, zeta):
@@ -138,7 +139,7 @@ def _small_rho(xi, eta, zeta):
     return math.log((PI - xi) / -xi if xi < 0.0 else xi / (xi - PI))
 
 
-@pytest.mark.parametrize("point", NEAR_AXIS, ids=["on-segment", "off-segment", "ratio-overflow"])
+@pytest.mark.parametrize("point", NEAR_AXIS, ids=["on-segment", "off-segment", "ratio-overflow", "rho2-underflow"])
 def test_kernel_next_to_the_axis(point, capsys):
     want = _small_rho(*point)
     assert kernel(*point) == pytest.approx(want, rel=1e-15, abs=0.0)
