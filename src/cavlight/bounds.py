@@ -65,6 +65,8 @@ def backaction(n: float, big_m: int, kappa: float) -> float:
     check_photon_number(n)
     if isinstance(big_m, bool) or not 1 <= big_m < math.inf:  # NaN fails too
         raise ValueError(f"need M >= 1, got {big_m!r}")
+    if isinstance(kappa, bool) or not 0 < kappa < math.inf:  # NaN fails too
+        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
     shift = -kappa * n * big_m
     if shift == -math.inf:
         raise ValueError(f"back-action at n={n:.3g} is outside float range")

@@ -5,9 +5,9 @@ Configuration is a JSON file validated against a fixed key set; every
 output embeds a provenance block and is byte-identical across reruns
 with the same config and seed.
 
-Exit codes: 0 success, 2 invalid config (including derived quantities
-outside float range), 3 regime violation under --strict, 4 quadrature
-tolerance failure.
+Exit codes: 0 success, 2 invalid config or argument (including derived
+quantities outside float range and an --out that cannot be written), 3
+regime violation under --strict, 4 quadrature tolerance failure.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def _write(text: str, out: str | None):
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc}")
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_grid(grid: str, slice_spec: str | None):
@@ -346,11 +346,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code, text = args.func(args)
+            if text is not None:
+                _write(text, args.out)
         except ConfigError as exc:
             sys.stderr.write(f"config error: {exc}\n")
             return EXIT_CONFIG
-        if text is not None:
-            _write(text, args.out)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
     return code

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SINGULAR_LINE, SingularKernelError
+from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SingularKernelError
 from .closedform import gauss_legendre, line_kernel
 
 PI = math.pi
@@ -42,8 +42,10 @@ class QuadratureSpec:
     panel_order: int = 8
 
     def __post_init__(self):
-        if not self.rel_tol > 0:  # also rejects NaN
-            raise ValueError("tolerance must be positive")
+        if isinstance(self.rel_tol, bool) or not 0 < self.rel_tol < 1:  # NaN fails too
+            raise ValueError(f"tolerance must be a number in (0, 1), got {self.rel_tol!r}")
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (self.max_depth, self.panel_order)):
+            raise ValueError(f"max depth and panel order must be integers, got {self.max_depth!r} and {self.panel_order!r}")
         if self.max_depth < 1:
             raise ValueError("max depth must be at least 1")
         if self.panel_order < 2:
@@ -110,8 +112,8 @@ def _kernel_arrays(xi, eta, zeta, *, out=None):
     are broadcast.  ``out``, if given, is a float array of the broadcast
     shape that receives the result.  The entries with rho^2 below
     NEAR_AXIS_RHO2 take their values from closedform.line_kernel, so an
-    entry exactly on the singular line raises SingularKernelError; kernel
-    refuses such points first, and no Gauss node lands on one.
+    entry exactly on the singular line raises SingularKernelError; that is
+    how kernel refuses such points, and no Gauss node lands on one.
     """
     xi = np.asarray(xi, dtype=float)
     rho2 = np.square(eta, dtype=float) + np.square(zeta, dtype=float)
@@ -147,9 +149,7 @@ def check_points(points) -> np.ndarray:
 
 def kernel(xi: float, eta: float, zeta: float):
     """Kernel I(xi, eta, zeta); raises on the singular line and for points check_points rejects."""
-    x, e, z = check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3)).T
-    if np.any((e == 0.0) & (z == 0.0) & (x >= 0.0) & (x <= PI)):
-        raise SingularKernelError(SINGULAR_LINE.format(xi))
+    check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3))
     out = _kernel_arrays(xi, eta, zeta)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -216,7 +216,7 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     vals = _panel_values(rule, rects, owner, nodes, weights)
     value = np.zeros((n_nodes, vals.shape[1]))
     error = np.zeros(n_nodes)
-    for _ in range(spec.max_depth):
+    for level in range(spec.max_depth):
         a0, a1, b0, b1 = rects
         am = 0.5 * (a0 + a1)
         bm = 0.5 * (b0 + b1)
@@ -259,21 +259,19 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
         carried = perr[children % n_par] / 4.0
 
         # keep the active set bounded: a node over the cap accepts its
-        # smallest-error panels early, and the others keep their order
-        count = np.bincount(owner, minlength=n_nodes)
-        if count.max() > _MAX_ACTIVE_PANELS:
-            ranked = np.lexsort((carried, owner))
-            rank = np.empty(len(owner), dtype=np.intp)
-            rank[ranked] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[ranked]]
-            early = rank < (count - _MAX_ACTIVE_PANELS)[owner]
-            value += by_node(owner[early], vals[early])
-            error += by_node(owner[early], carried[early])
-            rects, vals, owner, carried = rects[:, ~early], vals[~early], owner[~early], carried[~early]
-    else:
-        # depth exhausted: active panels keep their best values and
-        # report their carried error
-        value += by_node(owner, vals)
-        error += by_node(owner, carried)
+        # smallest-error panels early, at their best values and carried
+        # errors, and the others keep their order.  On the last level the
+        # cap then drops to 0, which accepts every panel still active
+        for cap in (_MAX_ACTIVE_PANELS,) if level + 1 < spec.max_depth else (_MAX_ACTIVE_PANELS, 0):
+            count = np.bincount(owner, minlength=n_nodes)
+            if count.max() > cap:
+                ranked = np.lexsort((carried, owner))
+                rank = np.empty(len(owner), dtype=np.intp)
+                rank[ranked] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[ranked]]
+                early = rank < (count - cap)[owner]
+                value += by_node(owner[early], vals[early])
+                error += by_node(owner[early], carried[early])
+                rects, vals, owner, carried = rects[:, ~early], vals[~early], owner[~early], carried[~early]
     converged = error <= spec.rel_tol * np.abs(value).max(axis=1)
     return QuadResult(value, error, converged)
 
@@ -352,6 +350,18 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _map_jobs(fn, jobs, workers: int, processes: bool = False) -> list:
+    """[fn(job) for job in jobs], in job order: inline when min(workers,
+    len(jobs)) < 2, else on a process or thread pool of that size."""
+    workers = min(workers, len(jobs))
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    # imported here: it costs every CLI start-up ~20 ms otherwise
+    import concurrent.futures as futures
+    with (futures.ProcessPoolExecutor if processes else futures.ThreadPoolExecutor)(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _batch_bounds(cost) -> list[int]:
     bounds = [0]
     total = 0
@@ -382,15 +392,8 @@ def convolve_points(
     cost = np.where(inside, _SINGULAR_COST, 1)
     bounds = _batch_bounds(cost)
     jobs = [(source, pts[s:e], spec) for s, e in zip(bounds[:-1], bounds[1:])]
-    workers = min(_cpu_count() if threads == 0 else threads, len(jobs))
-    if workers > 1 and cost.sum() >= _POOL_COST:
-        # imported here: it costs every CLI start-up ~20 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_convolve_batch, jobs))
-    else:
-        parts = [_convolve_batch(job) for job in jobs]
+    workers = (_cpu_count() if threads == 0 else threads) if cost.sum() >= _POOL_COST else 1
+    parts = _map_jobs(_convolve_batch, jobs, workers, processes=True)
     return QuadResult(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
@@ -521,14 +524,7 @@ def mc_oracle_many(
         workers = min(cpus, blocks)
         cuts = [min(m, blocks * k // workers * _MC_BLOCK) for k in range(workers + 1)]
         runs += [(seed, point_index, point, 2 * done, m, a, b) for a, b in zip(cuts, cuts[1:])]
-    if len(runs) > 1 and cpus > 1:
-        # imported here: it costs every CLI start-up otherwise
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(cpus, len(runs))) as pool:
-            parts = list(pool.map(_mc_run, runs))
-    else:
-        parts = [_mc_run(run) for run in runs]
+    parts = _map_jobs(_mc_run, runs, cpus)
     basis_sums = np.zeros(5)
     gram = np.zeros((5, 5))
     for run_sums, run_grams in parts:

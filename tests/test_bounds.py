@@ -85,6 +85,13 @@ def test_backaction_sign_and_linearity():
     for big_m in (math.nan, math.inf, True):
         with pytest.raises(ValueError, match="M >= 1"):
             backaction(1.0, big_m, kappa)
+    # a non-positive kappa would flip the sign, and True would run as 1
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-70, True):
+        with pytest.raises(ValueError, match="kappa must be finite and positive"):
+            backaction(1.0, 1, bad)
+    # -kappa*n*M overflows
+    with pytest.raises(ValueError, match="outside float range"):
+        backaction(1e300, 10**10, 1.0)
 
 
 def test_optimal_tradeoff_closed_form_balance():

@@ -62,8 +62,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{}", b'{"cavity_length_m": 1' + b"0" * 5000 + b', "wavelength_m": 1e-6}'],
-    ids=["bad-utf8", "integer-too-long"],
+    [b"\xff\xfe{}", b'{"cavity_length_m": 1' + b"0" * 5000 + b', "wavelength_m": 1e-6}', b"[1]"],
+    ids=["bad-utf8", "integer-too-long", "not-an-object"],
 )
 def test_unreadable_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -320,6 +320,9 @@ def test_bad_grid_spec_exits_2(capsys):
         ["--mode", "01m", "--big-m", str(10**310), "--grid", "2"],
         # --big-m without --mode 01m would be ignored
         ["--grid", "3", "--big-m", "1000"],
+        # every node would pass at its first estimate
+        ["--grid", "2", "--tolerance", "inf"],
+        ["--grid", "2", "--tolerance", "1e300"],
     ],
 )
 def test_field_map_bad_arguments_exit_2(args, capsys):
@@ -349,6 +352,15 @@ def test_bad_photon_number_or_tolerance_exits_2(config_path, args, capsys):
     assert main([*args, "--config", config_path]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("args", [["bounds"], ["field-map", "--grid", "2"]], ids=["bounds", "field-map"])
+def test_unwritable_out_exits_2(config_path, tmp_path, args, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main([*args, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}:")
+    assert not out.parent.exists()
 
 
 def test_validate_strict_exit_code(config_path, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cavlight import fields, greens, modes
-from cavlight.fieldmap import GridSpec
+from cavlight.fieldmap import FieldMap, GridSpec
 from cavlight.fields import (
     G_SOURCES,
     MAX_LARGE_M,
@@ -389,6 +389,35 @@ def test_laplacian_residual_validation():
     cf = metric_grid(coarse, QuadratureSpec(rel_tol=1e-3), threads=1)
     with pytest.raises(ValueError):
         laplacian_residual(cf)
+
+
+def _zero_field(grid):
+    shape = grid.shape
+    return FieldMap(grid, {"h00": np.zeros(shape)}, np.zeros(shape), np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        (GridSpec(xi=(1.0, 1.0, 1), eta=(1.0, 1.2, 3), zeta=(1.0, 1.2, 3)), "needs a 3D grid"),
+        (GridSpec(xi=(1.0, 1.2, 3), eta=(1.0, 1.2, 3), zeta=(1.0, 1.3, 3)), "needs an isotropic grid"),
+        # fine enough, but on the xi = 0 face
+        (GridSpec(*[(0.0, 0.2, 5)] * 3), "strictly inside"),
+    ],
+    ids=["not-3d", "anisotropic", "on-face"],
+)
+def test_laplacian_residual_refuses_grid(grid, match):
+    with pytest.raises(ValueError, match=match):
+        laplacian_residual(_zero_field(grid))
+
+
+def test_field_map_arrays_must_match_grid():
+    grid = GridSpec(*[(1.0, 1.2, 3)] * 3)
+    field = _zero_field(grid)
+    with pytest.raises(ValueError, match="component 'h00' shape"):
+        FieldMap(grid, {"h00": np.zeros((3, 3))}, field.errors, field.converged)
+    with pytest.raises(ValueError, match="error/convergence array shape"):
+        FieldMap(grid, field.components, field.errors, np.ones(2, dtype=bool))
 
 
 def test_laplacian_residual_small_on_interior_block():

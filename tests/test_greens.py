@@ -168,6 +168,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_depth=0)
     with pytest.raises(ValueError):
         QuadratureSpec(panel_order=1)
+    # a tolerance of 1 or more would accept every first estimate
+    for rel_tol in (True, math.inf, math.nan, 1.0, 1e300):
+        with pytest.raises(ValueError, match="tolerance must be a number in"):
+            QuadratureSpec(rel_tol=rel_tol)
+    for kwargs in ({"max_depth": 2.5}, {"max_depth": True}, {"panel_order": 8.0}, {"panel_order": "8"}):
+        with pytest.raises(ValueError, match="must be integers"):
+            QuadratureSpec(**kwargs)
+    assert QuadratureSpec(max_depth=np.int64(5), panel_order=np.int32(4)).max_depth == 5
 
 
 def test_convolve_point_unit_center():
@@ -281,7 +289,7 @@ def test_convolve_points_rejects_bad_input(points, threads, match):
         greens.convolve_points(SRC_UNIT, points, threads=threads)
 
 
-@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, 1e308, -1.0000001e6])
+@pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, 1e308, -1.0000001e6, None])
 def test_point_rule_is_shared(coordinate):
     # both kernels, convolve_points, the oracle and epsilon_point refuse the
     # same points with one message

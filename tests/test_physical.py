@@ -167,6 +167,12 @@ def test_validate_regime_rejects_negative_n():
         validate_regime(DEFAULT, -1.0)
 
 
+def test_validate_regime_rejects_n_times_m_outside_float_range():
+    # n is a finite photon number, but n*M (M = 4e9) overflows
+    with pytest.raises(ValueError, match="outside float range"):
+        validate_regime(DEFAULT, 1e308)
+
+
 @pytest.mark.parametrize("n", [math.nan, math.inf, True])
 def test_validate_regime_rejects_non_photon_number(n):
     with pytest.raises(ValueError, match="photon number"):
