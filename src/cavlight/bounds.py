@@ -41,6 +41,8 @@ class ProbeState:
 
 def qcrb(state: ProbeState, tau: float) -> float:
     """Minimal delta_c/c of a single measurement after phase tau."""
+    if isinstance(tau, bool):
+        raise ValueError(f"tau must be a number, got {tau!r}")
     if tau <= 0:
         raise ValueError("no information at zero evolution time")
     n = state.n

@@ -18,11 +18,12 @@ import json
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 
 from . import __version__
 from .bounds import CoherentFormula, ProbeKind, ProbeState, backaction, qcrb, optimal_tradeoff, table1
 from .io import (
-    dump_csv, dump_json, fieldmap_to_csv, fieldmap_to_json, fmt, provenance_block, table_to_json, table_to_text,
+    dump_csv, dump_json, fieldmap_chunks, fmt, provenance_block, table_to_json, table_to_text,
 )
 from .physical import ExperimentConfig, LengthConvention, ModeIndices, TimeConvention, derive_params, validate_regime
 
@@ -113,13 +114,15 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     return config, raw
 
 
-def _write(text: str, out: str | None):
+def _write(text, out: str | None):
+    """Write a command's text, one string or an iterable of chunks."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc}") from exc
 
@@ -161,7 +164,7 @@ def cmd_bounds(args) -> tuple[int, str]:
     return EXIT_OK, table_to_json(table, provenance_block(raw, args.seed))
 
 
-def cmd_field_map(args) -> tuple[int, str]:
+def cmd_field_map(args) -> tuple[int, Iterable[str]]:
     from .fields import metric_grid
     from .greens import QuadratureSpec
     if args.big_m is not None and args.mode != "01m":
@@ -181,8 +184,8 @@ def cmd_field_map(args) -> tuple[int, str]:
     prov["mode"] = args.mode
     if big_m is not None:
         prov["M"] = big_m
-    text = fieldmap_to_csv(field, prov) if args.format == "csv" else fieldmap_to_json(field, prov)
-    return (EXIT_OK if field.all_converged else EXIT_QUADRATURE), text
+    # a stream of chunks: the map's text is never held whole
+    return (EXIT_OK if field.all_converged else EXIT_QUADRATURE), fieldmap_chunks(field, prov, args.format)
 
 
 def _log_sweep(lo: float, hi: float, points: int) -> list[float]:

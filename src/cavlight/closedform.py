@@ -34,9 +34,11 @@ class SingularKernelError(ValueError):
 
 def check_point(point) -> tuple[float, float, float]:
     """The point as three floats; ValueError(POINT_RULE) unless it is three
-    finite coordinates with |c| <= MAX_COORDINATE."""
+    finite coordinates, none a bool, with |c| <= MAX_COORDINATE."""
     try:
-        p = () if isinstance(point, str) else tuple(map(float, point))
+        p = () if isinstance(point, str) else tuple(point)
+        # float() takes a bool as 0 or 1, and no coordinate is one
+        p = () if any(isinstance(c, bool) for c in p) else tuple(map(float, p))
     except (TypeError, ValueError):  # not a sequence of numbers
         p = ()
     # NaN fails the <= too

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -42,7 +43,8 @@ class QuadratureSpec:
     panel_order: int = 8
 
     def __post_init__(self):
-        if isinstance(self.rel_tol, bool) or not 0 < self.rel_tol < 1:  # NaN fails too
+        # NaN fails the comparison too
+        if isinstance(self.rel_tol, bool) or not isinstance(self.rel_tol, numbers.Real) or not 0 < self.rel_tol < 1:
             raise ValueError(f"tolerance must be a number in (0, 1), got {self.rel_tol!r}")
         if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (self.max_depth, self.panel_order)):
             raise ValueError(f"max depth and panel order must be integers, got {self.max_depth!r} and {self.panel_order!r}")
@@ -148,7 +150,11 @@ def check_points(points) -> np.ndarray:
 
 
 def kernel(xi: float, eta: float, zeta: float):
-    """Kernel I(xi, eta, zeta); raises on the singular line and for points check_points rejects."""
+    """Kernel I(xi, eta, zeta); raises on the singular line, for a bool or
+    bool array coordinate and for points check_points rejects."""
+    # the stacking below would take a bool as 0 or 1
+    if any(np.asarray(c).dtype == bool for c in (xi, eta, zeta)):
+        raise ValueError(POINT_RULE)
     check_points(np.stack(np.broadcast_arrays(xi, eta, zeta), axis=-1).reshape(-1, 3))
     out = _kernel_arrays(xi, eta, zeta)
     return float(out) if np.ndim(out) == 0 else out
@@ -385,8 +391,8 @@ def convolve_points(
     means one worker per CPU; a process pool starts only when the
     predicted work pays for it.
     """
-    if threads < 0:
-        raise ValueError(f"threads must be 0 (one worker per CPU) or a positive worker count, got {threads}")
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 0:
+        raise ValueError(f"threads must be 0 (one worker per CPU) or a positive worker count, got {threads!r}")
     pts = check_points(points)
     inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
     cost = np.where(inside, _SINGULAR_COST, 1)

@@ -4,12 +4,18 @@ All floating values are serialized with 9 significant digits: every
 output goes through dump_json or dump_csv, which round each float they
 write.  Outputs carry a provenance block (config hash, tool version,
 seed) and no timestamps, so identical runs produce byte-identical files.
+
+A field map is written as a stream: fieldmap_chunks yields its CSV or
+JSON text a few thousand rows at a time, in the layout dump_csv and
+dump_json give, and formats each distinct float of a column once.
+hashlib, and with it OpenSSL, is loaded by the first config_hash call,
+so a field map without a config never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
@@ -23,6 +29,8 @@ if TYPE_CHECKING:  # both import numpy, which the closed-form commands never loa
 # every field map is in units of the amplitude P
 UNITS = "per-P"
 CSV_COLUMNS = ("xi", "eta", "zeta", "h00", "h11", "h22", "h33", "h23", "dcx", "dcy", "dcz", "err")
+# rows (CSV) or array items (JSON) per chunk of a streamed output
+_CHUNK_ROWS = 8192
 
 
 def fmt(value: float) -> str:
@@ -35,24 +43,12 @@ def round9(value: float) -> float:
 
 def _rounded(value):
     """value with every float in its dicts, lists and tuples at 9 digits."""
-    # floats first: a map's JSON holds over a million of them
     if isinstance(value, float):
         return round9(value)
     if isinstance(value, dict):
         return {key: _rounded(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
-        # a map's columns repeat most values, so each distinct float is rounded
-        # once; 0.0 == -0.0 as keys, so zeros keep their own rounding
-        memo = {}
-        out = []
-        for v in value:
-            if isinstance(v, float) and v:
-                if v not in memo:
-                    memo[v] = round9(v)
-                out.append(memo[v])
-            else:
-                out.append(_rounded(v))
-        return out
+        return [_rounded(v) for v in value]
     return value
 
 
@@ -61,18 +57,45 @@ def dump_json(payload: dict) -> str:
     return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
 
 
+def _csv_chunks(blocks, columns, rows):
+    """dump_csv's text in chunks: the comment blocks and the header, then
+    _CHUNK_ROWS rows at a time.  Each row is a sequence of cells already
+    written as text."""
+    lines = [f"# {key}: {_rounded(value)}" for block in blocks for key, value in sorted(block.items())]
+    yield "\n".join([*lines, ",".join(columns)]) + "\n"
+    rows = map(",".join, rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield "\n".join(chunk) + "\n"
+
+
 def dump_csv(blocks, columns, rows) -> str:
     """The one CSV layout of every output: each of ``blocks`` as sorted
     ``# key: value`` lines, floats at 9 digits, then ``columns`` and the rows."""
-    lines = [f"# {key}: {_rounded(value)}" for block in blocks for key, value in sorted(block.items())]
-    lines.append(",".join(columns))
-    # one % per row; "%.9g" gives the same text as fmt, value for value
-    template = ",".join(["%.9g"] * len(columns))
-    lines += [template % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(blocks, columns, (map(fmt, row) for row in rows)))
+
+
+def _json_chunks(head: dict, columns: dict):
+    """dump_json({**head, **columns}) in chunks, for ``columns`` that map
+    each key to a non-empty array of its items already written as JSON text.
+    The head entries go through dump_json one at a time."""
+    yield "{\n"
+    for i, key in enumerate(sorted({**head, **columns})):
+        sep = ",\n" if i else ""
+        if key in head:
+            # dump_json({key: v}) is "{\n" + the entry + "\n}\n"
+            yield sep + dump_json({key: head[key]})[2:-3]
+            continue
+        items = columns[key]
+        yield f"{sep}  {json.dumps(key)}: [\n    "
+        for start in range(0, len(items), _CHUNK_ROWS):
+            yield (",\n    " if start else "") + ",\n    ".join(items[start:start + _CHUNK_ROWS].tolist())
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def config_hash(config_dict: dict) -> str:
+    # imported here: hashlib loads OpenSSL, which a map without a config never needs
+    import hashlib
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -86,22 +109,34 @@ def provenance_block(config_dict: dict | None, seed: int) -> dict[str, Any]:
     }
 
 
-def _fieldmap_columns(field: FieldMap) -> list[np.ndarray]:
-    """The CSV_COLUMNS of a map, one flat array each."""
+def _texts(column: np.ndarray, text) -> np.ndarray:
+    """text(v) for every float of ``column``, as an object array of str.
+    text is called once per distinct bit pattern, so +0.0 and -0.0 stay apart."""
+    import numpy as np  # loaded already: the map holds numpy arrays
+    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64), return_inverse=True)
+    return np.array([text(v) for v in bits.view(float).tolist()], dtype=object)[inverse]
+
+
+def fieldmap_chunks(field: FieldMap, provenance: dict, form: str):
+    """The map as text in chunks: ``form`` "csv" joins to fieldmap_to_csv,
+    "json" to fieldmap_to_json.  Every float is formatted here, before the
+    first chunk is taken."""
     comps = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]]
-    return [*field.grid.points().T, *comps, field.errors.reshape(-1)]
+    columns = dict(zip(CSV_COLUMNS, [*field.grid.points().T, *comps, field.errors.reshape(-1)]))
+    if form == "csv":
+        cells = [_texts(col, fmt).tolist() for col in columns.values()]
+        return _csv_chunks([provenance, {"units": UNITS}], CSV_COLUMNS, zip(*cells))
+    grid = {"xi": field.grid.xi, "eta": field.grid.eta, "zeta": field.grid.zeta}
+    head = {"provenance": provenance, "units": UNITS, "grid": grid, "converged": field.all_converged}
+    return _json_chunks(head, {name: _texts(col, lambda v: json.dumps(round9(v))) for name, col in columns.items()})
 
 
 def fieldmap_to_csv(field: FieldMap, provenance: dict) -> str:
-    rows = zip(*(col.tolist() for col in _fieldmap_columns(field)))
-    return dump_csv([provenance, {"units": UNITS}], CSV_COLUMNS, rows)
+    return "".join(fieldmap_chunks(field, provenance, "csv"))
 
 
 def fieldmap_to_json(field: FieldMap, provenance: dict) -> str:
-    columns = {name: col.tolist() for name, col in zip(CSV_COLUMNS, _fieldmap_columns(field))}
-    grid = {"xi": field.grid.xi, "eta": field.grid.eta, "zeta": field.grid.zeta}
-    head = {"provenance": provenance, "units": UNITS, "grid": grid, "converged": field.all_converged}
-    return dump_json({**head, **columns})
+    return "".join(fieldmap_chunks(field, provenance, "json"))
 
 
 def table_to_json(table: ScalingTable, provenance: dict) -> str:

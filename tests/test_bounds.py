@@ -47,6 +47,12 @@ def test_qcrb_optimal_state():
         qcrb(state, 0.0)
 
 
+def test_qcrb_refuses_a_bool_tau():
+    # True once passed as tau = 1
+    with pytest.raises(ValueError, match="tau must be a number"):
+        qcrb(ProbeState(ProbeKind.OPTIMAL, 1.0), True)
+
+
 def test_qcrb_coherent_asymptotic():
     state = ProbeState(ProbeKind.COHERENT, 100.0)
     assert qcrb(state, 5.0) == pytest.approx(1.0 / (2.0 * 5.0 * 10.0), rel=1e-15)

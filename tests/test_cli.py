@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -354,7 +355,11 @@ def test_bad_photon_number_or_tolerance_exits_2(config_path, args, capsys):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
-@pytest.mark.parametrize("args", [["bounds"], ["field-map", "--grid", "2"]], ids=["bounds", "field-map"])
+@pytest.mark.parametrize(
+    "args",
+    [["bounds"], ["field-map", "--grid", "2"], ["field-map", "--grid", "2", "--format", "json"]],
+    ids=["bounds", "field-map", "field-map-json"],
+)
 def test_unwritable_out_exits_2(config_path, tmp_path, args, capsys):
     out = tmp_path / "missing" / "x.json"
     assert main([*args, "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
@@ -638,6 +643,34 @@ def test_import_does_not_load_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+def test_field_map_writes_the_same_bytes_to_stdout_and_out(tmp_path, form):
+    # 22^3 nodes stream as more than one chunk of rows
+    args = [sys.executable, "-m", "cavlight.cli", "field-map", "--grid", "22", "--tolerance", "1e-3",
+            "--format", form]
+    out = tmp_path / f"map.{form}"
+    to_file = subprocess.run([*args, "--out", str(out)], capture_output=True)
+    to_stdout = subprocess.run(args, capture_output=True)
+    assert to_file.returncode == to_stdout.returncode == EXIT_OK, to_stdout.stderr
+    assert to_file.stdout == b"" and to_stdout.stdout == out.read_bytes()
+    assert out.stat().st_size > 22**3 * 100
+
+
+def test_field_map_without_config_does_not_load_hashlib(tmp_path):
+    # hashlib loads OpenSSL; only a config's hash needs it
+    code = (
+        "import sys; from cavlight.cli import main; "
+        "code = main(['field-map', '--grid', '2', '--out', '/dev/null']); print(code, 'hashlib' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    raw = {"cavity_length_m": 1000.0, "wavelength_m": 500e-9, "finesse": 1e4}
+    proc = _run_cli(tmp_path, raw, ["bounds"])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    assert json.loads(proc.stdout)["provenance"]["config_sha256"] == hashlib.sha256(canonical).hexdigest()
 
 
 def test_field_map_does_not_load_numpy_polynomial():

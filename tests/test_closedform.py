@@ -53,6 +53,13 @@ def test_line_kernel_singular_line_raises_as_greens(xi):
         greens._kernel_arrays(xi, np.array([1e-170, 0.0]), 0.0)
 
 
+def test_line_kernel_refuses_a_bool_coordinate():
+    # float() once took True as 1
+    with pytest.raises(ValueError, match="three finite coordinates"):
+        line_kernel(True, 1, 1)
+    assert line_kernel(1, 1, 1) == line_kernel(1.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("order", range(1, 25))
 def test_gauss_legendre_rule(order):
     x, w = gauss_legendre(order)

@@ -201,6 +201,15 @@ def test_grid_spec_rejects_bad_axis(axis, match):
         metric_grid(GridSpec(axis, (1, 1, 1), (1, 1, 1)), threads=1)
 
 
+@pytest.mark.parametrize("threads", [2.5, True, "2"])
+def test_metric_grid_refuses_a_worker_count_that_is_not_an_integer(threads):
+    # 40 cavity nodes predict enough work for a pool, which once raised a
+    # TypeError for 2.5, and ran True as one worker
+    grid = GridSpec((0.5, 2.5, 2), (0.5, 2.5, 4), (0.5, 2.5, 5))
+    with pytest.raises(ValueError, match="threads must be 0"):
+        metric_grid(grid, threads=threads)
+
+
 def test_metric_01M_linear_in_m():
     a = metric_01M(CENTER, 64)
     b = metric_01M(CENTER, 128)

@@ -169,7 +169,7 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(panel_order=1)
     # a tolerance of 1 or more would accept every first estimate
-    for rel_tol in (True, math.inf, math.nan, 1.0, 1e300):
+    for rel_tol in (True, math.inf, math.nan, 1.0, 1e300, "1e-6", None):
         with pytest.raises(ValueError, match="tolerance must be a number in"):
             QuadratureSpec(rel_tol=rel_tol)
     for kwargs in ({"max_depth": 2.5}, {"max_depth": True}, {"panel_order": 8.0}, {"panel_order": "8"}):
@@ -279,10 +279,16 @@ def test_convolve_point_rejects_nonfinite():
     "points, threads, match",
     [
         ([CENTER], -1, "threads"),
+        # enough cavity points to start a pool, and one exterior point that never does
+        ([CENTER] * 40, 2.5, "threads"),
+        ([(5.0, 5.0, 5.0)], 1.5, "threads"),
+        ([(5.0, 5.0, 5.0)], True, "threads"),
+        ([(5.0, 5.0, 5.0)], "2", "threads"),
         (np.zeros((0, 3)), 1, r"\(N, 3\)"),
         ([(1.0, 1.0)], 1, r"\(N, 3\)"),
     ],
-    ids=["negative-threads", "no-points", "two-coordinates"],
+    ids=["negative-threads", "fractional-threads-pooled", "fractional-threads", "bool-threads", "str-threads",
+         "no-points", "two-coordinates"],
 )
 def test_convolve_points_rejects_bad_input(points, threads, match):
     with pytest.raises(ValueError, match=match):
@@ -307,6 +313,14 @@ def test_point_rule_is_shared(coordinate):
     edge = (1.0, greens.MAX_COORDINATE, -greens.MAX_COORDINATE)
     assert greens.check_points([edge]).tolist() == [list(edge)]
     assert closedform.check_point(edge) == edge
+
+
+def test_kernel_refuses_bool_coordinates():
+    # stacked with numbers, a bool once became 0 or 1
+    for xi in (True, np.bool_(False), np.array([True, False])):
+        with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+            kernel(xi, 1.0, 1.0)
+    assert kernel(np.int64(1), 1, 1) == kernel(1.0, 1.0, 1.0)
 
 
 def test_mc_oracle_is_deterministic():

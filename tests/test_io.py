@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from cavlight import io
 from cavlight.bounds import table1
 from cavlight.fieldmap import FieldMap, GridSpec
+from cavlight.fields import metric_grid
+from cavlight.greens import QuadratureSpec
 from cavlight.io import (
     CSV_COLUMNS,
     config_hash,
     dump_csv,
     dump_json,
+    fieldmap_chunks,
     fieldmap_to_csv,
     fieldmap_to_json,
     fmt,
@@ -63,9 +67,8 @@ def test_dump_json_rounds_every_float():
 
 
 def test_dump_json_rounds_repeated_values_as_each_alone():
-    # a list rounds each distinct nonzero float once; the text must match the
-    # per-value rule for repeats, zeros of either sign, NaN, infinities and
-    # equal values of other types
+    # the text must match the per-value rule for repeats, zeros of either
+    # sign, NaN, infinities and equal values of other types
     nan = math.nan
     values = [0.0, -0.0, 0.0, nan, nan, math.inf, -math.inf, 1 / 3, 1 / 3, np.float64(1 / 3), 1, 1.0, True,
               1.0000000001, 1.0000000004, -0.0, (-0.0, 2 / 3, 2 / 3), float("nan"), math.pi]
@@ -137,6 +140,76 @@ def test_fieldmap_json_structure():
     assert payload["converged"] is True
     assert len(payload["h00"]) == 4
     assert payload["grid"]["xi"] == [1.0, 2.0, 2]
+
+
+def _special_field():
+    # zeros of both signs, a tiny and a ten-digit value, values printed with
+    # exponents, NaN and infinities, repeated across columns
+    grid = GridSpec(xi=(1.0, 2.0, 2), eta=(1.5, 1.5, 1), zeta=(0.5, 1.5, 3))
+    values = [0.0, -0.0, 1e-300, 1234567890.0, -2.5e-7, 6.02214076e23, 1.5e-5, -0.0, 0.1 + 0.2,
+              math.nan, math.inf, -math.inf, 123456789012.0, 1e-300]
+    columns = np.resize(values, (9, *grid.shape))
+    comps = dict(zip(CSV_COLUMNS[3:-1], columns))
+    return FieldMap(grid=grid, components=comps, errors=columns[-1], converged=np.ones(grid.shape, dtype=bool))
+
+
+def _default_range(count):
+    return GridSpec(*[(-math.pi, 2.0 * math.pi, count)] * 3)
+
+
+def _expected_csv(field, prov):
+    """The one-string CSV layout: comment lines, header, one %.9g row per node."""
+    cols = [*field.grid.points().T, *(field.components[n].reshape(-1) for n in CSV_COLUMNS[3:-1]),
+            field.errors.reshape(-1)]
+    lines = [f"# {key}: {value}" for key, value in sorted(prov.items())] + [f"# units: {io.UNITS}"]
+    lines.append(",".join(CSV_COLUMNS))
+    lines += [",".join("%.9g" % v for v in row) for row in zip(*(c.tolist() for c in cols))]
+    return "\n".join(lines) + "\n", cols
+
+
+def _expected_json(field, prov):
+    """The one-string JSON layout: json.dumps of the whole payload, every float at 9 digits."""
+    _, cols = _expected_csv(field, prov)
+
+    def rounded(axis):
+        return [round9(v) if isinstance(v, float) else v for v in axis]
+
+    payload = {
+        "provenance": prov,
+        "units": io.UNITS,
+        "grid": {"xi": rounded(field.grid.xi), "eta": rounded(field.grid.eta), "zeta": rounded(field.grid.zeta)},
+        "converged": field.all_converged,
+        **{name: [round9(v) for v in col.tolist()] for name, col in zip(CSV_COLUMNS, cols)},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def stream_fields():
+    # the default range and tolerance, as field-map --grid 10 and --grid 24 --slice xi=1.5 draw them
+    axis = (-math.pi, 2.0 * math.pi, 24)
+    return {
+        "default-range": metric_grid(_default_range(10), threads=1),
+        "slice": metric_grid(GridSpec((1.5, 1.5, 1), axis, axis), threads=1),
+        "large-m": metric_grid(_default_range(6), QuadratureSpec(rel_tol=1e-4), big_m=1000, threads=1),
+        "special": _special_field(),
+    }
+
+
+@pytest.mark.parametrize("chunk_rows", [7, io._CHUNK_ROWS])
+@pytest.mark.parametrize("name", ["default-range", "slice", "large-m", "special"])
+def test_streamed_map_matches_the_one_string_layout(stream_fields, monkeypatch, name, chunk_rows):
+    # the chunks join to exactly the text one json.dumps or one row format per
+    # value gives, whatever the chunk size
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    field = stream_fields[name]
+    prov = provenance_block({"cavity_length_m": 1.0, "wavelength_m": 1e-6}, 42)
+    for form, expected in [("csv", _expected_csv(field, prov)[0]), ("json", _expected_json(field, prov))]:
+        chunks = list(fieldmap_chunks(field, prov, form))
+        assert "".join(chunks) == expected
+        assert len(chunks) > field.errors.size // chunk_rows
+    assert fieldmap_to_csv(field, prov) == _expected_csv(field, prov)[0]
+    assert fieldmap_to_json(field, prov) == _expected_json(field, prov)
 
 
 def test_table_serialization():

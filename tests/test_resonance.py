@@ -86,6 +86,12 @@ def test_epsilon_point_rejects_bad_point(point):
         epsilon_point(point)
 
 
+def test_epsilon_point_refuses_a_bool_coordinate():
+    # float() once took True as 1
+    with pytest.raises(ValueError, match="three finite coordinates"):
+        epsilon_point((True, 1, 1))
+
+
 def test_epsilon_point_range():
     # far away epsilon/2 tends to the box's total source over the distance;
     # beyond distance 100 the closed form loses digits as d^3, and beyond
