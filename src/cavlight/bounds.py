@@ -11,8 +11,8 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .physical import CODATA, DimensionlessParams, ExperimentConfig, check_photon_number, derive_params, storage_time
 
@@ -27,16 +27,23 @@ class CoherentFormula(Enum):
     ASYMPTOTIC = "asymptotic"
 
 
-@dataclass(frozen=True)
-class ProbeState:
+class _ProbeState(NamedTuple):
     kind: ProbeKind
     n: float
     coherent_formula: CoherentFormula = CoherentFormula.ASYMPTOTIC
 
-    def __post_init__(self):
+
+class ProbeState(_ProbeState):
+    """A probe of n > 0 photons; n is finite and not a bool."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_photon_number(self.n)
         if self.n == 0:
             raise ValueError("photon number must be positive")
+        return self
 
 
 def qcrb(state: ProbeState, tau: float) -> float:
@@ -75,8 +82,7 @@ def backaction(n: float, big_m: int, kappa: float) -> float:
     return shift
 
 
-@dataclass(frozen=True)
-class TradeoffSolution:
+class TradeoffSolution(NamedTuple):
     """Photon number at which quantum noise equals the back-action."""
 
     n_opt: float
@@ -138,8 +144,7 @@ def _coherent_exact_root(tau: float, km: float) -> float:
     return 10.0 ** (0.5 * (lo + hi))
 
 
-@dataclass(frozen=True)
-class ComparisonBounds:
+class ComparisonBounds(NamedTuple):
     """delta_L/L of three quantum-gravity fluctuation predictions."""
 
     ng00: float       # (l_Pl/L)^(2/3)
@@ -163,8 +168,7 @@ def comparison_bounds(config: ExperimentConfig) -> ComparisonBounds:
     )
 
 
-@dataclass(frozen=True)
-class ScalingTable:
+class ScalingTable(NamedTuple):
     """Trade-off solutions for both probes and cavity types, plus the
     comparison bounds; entries are None when the config lacks a finesse."""
 

@@ -24,6 +24,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (start, stop, count) in zip(("xi", "eta", "zeta"), self.axes):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} axis count must be an integer, got {count!r}")
             if count < 1:
                 raise ValueError(f"{name} axis needs at least one point")
             if not (np.isfinite(start) and np.isfinite(stop)):

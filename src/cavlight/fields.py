@@ -17,7 +17,8 @@ import numpy as np
 
 from . import modes
 from .fieldmap import FieldMap, GridSpec
-from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction, convolve_point, convolve_points
+from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction
+from .greens import check_points, convolve_point, convolve_points
 
 PI = math.pi
 
@@ -151,7 +152,7 @@ def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threa
 
 
 def _metric_point(point, big_m: int | None, spec: QuadratureSpec) -> MetricPerturbation:
-    *components, error, converged = _metric_rows(np.array([point], dtype=float), big_m, spec, 1)[0].tolist()
+    *components, error, converged = _metric_rows(check_points([point]), big_m, spec, 1)[0].tolist()
     return MetricPerturbation(*components, error=error, converged=bool(converged))
 
 

@@ -138,11 +138,18 @@ def _kernel_arrays(xi, eta, zeta, *, out=None):
 
 def check_points(points) -> np.ndarray:
     """The points as a float (N, 3) array; ValueError unless they form a
-    non-empty (N, 3) array of finite coordinates with |c| <= MAX_COORDINATE."""
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numeric
-        pts = np.empty(0)
+    non-empty (N, 3) array of finite coordinates, none a bool, with
+    |c| <= MAX_COORDINATE."""
+    if isinstance(points, np.ndarray) and points.dtype == float:
+        pts = points  # holds no bool, so a grid's nodes are not looked through
+    else:
+        try:
+            # asarray(..., dtype=float) takes a bool as 0 or 1
+            if any(isinstance(c, (bool, np.bool_)) for c in np.asarray(points, dtype=object).flat):
+                raise ValueError(POINT_RULE)
+            pts = np.asarray(points, dtype=float)
+        except (TypeError, ValueError):  # ragged, not numeric or a bool
+            pts = np.empty(0)
     # NaN fails the <= too
     if pts.shape[1:] != (3,) or not len(pts) or not np.all(np.abs(pts) <= MAX_COORDINATE):
         raise ValueError(POINT_RULE)

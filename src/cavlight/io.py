@@ -19,11 +19,11 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .bounds import ScalingTable
 
-if TYPE_CHECKING:  # both import numpy, which the closed-form commands never load
+if TYPE_CHECKING:  # names used only in annotations; numpy and fieldmap never load on the closed-form commands
     import numpy as np
 
+    from .bounds import ScalingTable
     from .fieldmap import FieldMap
 
 # every field map is in units of the amplitude P

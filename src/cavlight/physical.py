@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 # Weak-field flag threshold on n*kappa*M (the dimensionless perturbation
 # amplitude, which must be well below one).
@@ -25,8 +25,7 @@ WAVELENGTH_RATIO_WARN = 1e-2
 WAVELENGTH_PLANCK_FACTOR = 1e6
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """CODATA 2018 constants in SI units."""
 
     c: float = 299792458.0
@@ -60,25 +59,41 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class ModeIndices:
-    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
+def _check_positive(value, name: str) -> None:
+    """Raise ValueError unless value is a positive number; NaN and a bool are not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not value > 0:
+        raise ValueError(f"{name} must be positive")
 
-    At most one index may be zero (and not all), otherwise the mode
-    function vanishes identically.
-    """
 
+class _ModeIndices(NamedTuple):
     l_x: int
     l_y: int
     l_z: int
 
-    def __post_init__(self):
-        ls = (self.l_x, self.l_y, self.l_z)
+
+class ModeIndices(_ModeIndices):
+    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
+
+    Each index is an integer, not a bool.  At most one index may be zero
+    (and not all), otherwise the mode function vanishes identically.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        ls = tuple(self)
+        # an int or a numpy integer, which have __index__; a bool has it too
+        if any(isinstance(l, bool) or not hasattr(type(l), "__index__") for l in ls):
+            raise ValueError(f"mode indices must be integers, got {ls}")
         if any(l < 0 for l in ls):
             raise ValueError(f"mode indices must be non-negative, got {ls}")
         n_zero = sum(1 for l in ls if l == 0)
         if n_zero > 1:
             raise ValueError(f"at most one mode index may be zero, got {ls}")
+        return self
 
     @property
     def index_norm(self) -> float:
@@ -105,15 +120,7 @@ class LengthConvention(Enum):
     RIGID_RODS = "rigid-rods"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Cavity geometry, optical wavelength and loss model of one scenario.
-
-    ``finesse`` of None means a lossless cavity (storage time L/c unless
-    overridden).  ``mode`` of None selects (0, 1, M) with M = round(2L/lambda)
-    so that the mode frequency matches the stated wavelength.
-    """
-
+class _ExperimentConfig(NamedTuple):
     cavity_length: float
     wavelength: float
     finesse: float | None = None
@@ -121,24 +128,33 @@ class ExperimentConfig:
     mode: ModeIndices | None = None
     time_convention: TimeConvention = TimeConvention.CAPTION
 
-    def __post_init__(self):
-        if self.cavity_length <= 0:
-            raise ValueError("cavity length must be positive")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.finesse is not None and self.finesse <= 0:
-            raise ValueError("finesse must be positive")
-        if (
-            self.measurement_time_override is not None
-            and self.measurement_time_override <= 0
-        ):
-            raise ValueError("measurement time must be positive")
+
+class ExperimentConfig(_ExperimentConfig):
+    """Cavity geometry, optical wavelength and loss model of one scenario.
+
+    ``finesse`` of None means a lossless cavity (storage time L/c unless
+    overridden).  ``mode`` of None selects (0, 1, M) with M = round(2L/lambda)
+    so that the mode frequency matches the stated wavelength.  Lengths,
+    finesse and time are positive numbers; NaN and a bool are refused.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_positive(self.cavity_length, "cavity length")
+        _check_positive(self.wavelength, "wavelength")
+        if self.finesse is not None:
+            _check_positive(self.finesse, "finesse")
+        if self.measurement_time_override is not None:
+            _check_positive(self.measurement_time_override, "measurement time")
         if self.wavelength / self.cavity_length >= WAVELENGTH_RATIO_WARN:
             warnings.warn(
                 "wavelength is not small compared to the cavity length; "
                 "the high-index mode picture may not apply",
                 stacklevel=2,
             )
+        return self
 
     @property
     def resolved_mode(self) -> ModeIndices:
@@ -147,22 +163,30 @@ class ExperimentConfig:
         big_m = max(1, round(2.0 * self.cavity_length / self.wavelength))
         return ModeIndices(0, 1, big_m)
 
-    def lossless(self) -> "ExperimentConfig":
-        """Copy of this config with the finesse removed."""
-        return replace(self, finesse=None)
+    def lossless(self) -> ExperimentConfig:
+        """Copy with the finesse removed, not checked again: it does not warn twice."""
+        return self._replace(finesse=None)
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Dimensionless inputs of every downstream formula."""
-
+class _DimensionlessParams(NamedTuple):
     kappa: float
     mode_index: int
     tau: float
 
-    def __post_init__(self):
-        if self.kappa <= 0 or self.tau <= 0 or self.mode_index < 1:
+
+class DimensionlessParams(_DimensionlessParams):
+    """Dimensionless inputs of every downstream formula.  kappa and tau
+    are positive and M >= 1; NaN and a bool M are refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        kappa, mode_index, tau = self
+        # NaN fails every comparison
+        if isinstance(mode_index, bool) or not (kappa > 0 and tau > 0 and mode_index >= 1):
             raise ValueError("invalid dimensionless parameters")
+        return self
 
     def amplitude(self, n: float) -> float:
         """P = 4*n*kappa/pi for n photons."""
@@ -198,8 +222,7 @@ def derive_params(config: ExperimentConfig) -> DimensionlessParams:
     )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     """Advisory regime checks; violations never raise, the CLI decides."""
 
     weak_field_ok: bool
@@ -207,7 +230,7 @@ class ValidityReport:
     nonlinear_qed_ok: bool
     min_cavity_length: float
     wavelength_vs_planck_ok: bool
-    messages: tuple[str, ...] = field(default_factory=tuple)
+    messages: tuple[str, ...] = ()
 
     @property
     def all_ok(self) -> bool:

@@ -606,7 +606,8 @@ def test_import_does_not_load_scipy():
     ],
 )
 def test_closed_form_paths_do_not_load_numpy(args, code, config_path):
-    # start-up guard: numpy is most of the start-up of these fast paths
+    # start-up guard: numpy is most of the start-up of these fast paths, and
+    # dataclasses, with the inspect it loads, took ~12 ms of the rest
     if args[0] != "-c":
         args = ["-m", "cavlight.cli", *args, *([] if args[0] == "kernel" else ["--config", config_path])]
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
@@ -614,6 +615,7 @@ def test_closed_form_paths_do_not_load_numpy(args, code, config_path):
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "cavlight" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    assert not {"dataclasses", "inspect"} & set(imported)
 
 
 def test_public_names_resolve_to_their_modules():

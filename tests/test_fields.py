@@ -193,12 +193,19 @@ def test_large_m_outside_range_raises(evaluate, big_m):
         ((2.0, 1.0, 3), "range must be increasing"),
         # both ends are finite, but linspace would overflow on the span
         ((-1e308, 1e308, 3), "span must be finite"),
+        # a bool count once gave the shape (True, 1, 1), and linspace failed on a float one
+        ((1.0, 2.0, True), "count must be an integer, got True"),
+        ((1.0, 2.0, 2.5), "count must be an integer, got 2.5"),
     ],
-    ids=["empty", "infinite", "decreasing", "span"],
+    ids=["empty", "infinite", "decreasing", "span", "bool-count", "float-count"],
 )
 def test_grid_spec_rejects_bad_axis(axis, match):
     with pytest.raises(ValueError, match=f"xi axis {match}"):
         metric_grid(GridSpec(axis, (1, 1, 1), (1, 1, 1)), threads=1)
+
+
+def test_grid_spec_takes_numpy_integer_counts():
+    assert GridSpec(xi=(1.0, 2.0, np.int64(3))).shape == (3, 48, 48)
 
 
 @pytest.mark.parametrize("threads", [2.5, True, "2"])

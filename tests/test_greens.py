@@ -27,6 +27,7 @@ from cavlight.fields import (
     SRC_F4,
     SRC_LARGE_M,
     SRC_UNIT,
+    metric_011,
 )
 from cavlight.resonance import epsilon_point
 
@@ -321,6 +322,26 @@ def test_kernel_refuses_bool_coordinates():
         with pytest.raises(ValueError, match=r"\(N, 3\) array"):
             kernel(xi, 1.0, 1.0)
     assert kernel(np.int64(1), 1, 1) == kernel(1.0, 1.0, 1.0)
+
+
+def test_point_lists_refuse_bool_coordinates():
+    # asarray(..., dtype=float) once took the True as 1.0 and integrated at (1, 5, 5)
+    point = (True, 5.0, 5.0)
+    calls = [
+        lambda: greens.convolve_points(SRC_UNIT, [point]),
+        lambda: convolve_point(SRC_UNIT, point),
+        lambda: metric_011(point),
+        lambda: mc_oracle_many([SRC_UNIT], point, 1000),
+        lambda: greens.check_points([(1.0, np.bool_(False), 1.0)]),
+        lambda: greens.check_points(np.array([[True, False, True]])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+            call()
+    assert greens.check_points([(np.int64(1), 2, 3.0)]).tolist() == [[1.0, 2.0, 3.0]]
+    # a float array, such as a grid's nodes, is taken as it is
+    nodes = np.full((4, 3), 1.5)
+    assert greens.check_points(nodes) is nodes
 
 
 def test_mc_oracle_is_deterministic():

@@ -43,6 +43,21 @@ def test_mode_indices_validation():
         ModeIndices(-1, 1, 1)
 
 
+@pytest.mark.parametrize("l_z", [True, 2.5, math.nan, math.inf, "3"], ids=["bool", "float", "nan", "inf", "str"])
+def test_mode_indices_must_be_integers(l_z):
+    with pytest.raises(ValueError, match="mode indices must be integers"):
+        ModeIndices(0, 1, l_z)
+
+
+def test_records_are_named_tuples():
+    mode = ModeIndices(0, 1, 2)
+    assert mode == (0, 1, 2) and list(mode) == [0, 1, 2]
+    assert repr(mode) == "ModeIndices(l_x=0, l_y=1, l_z=2)"
+    for record, name in [(mode, "l_z"), (DEFAULT, "finesse"), (derive_params(DEFAULT), "tau"), (CODATA, "c")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+
+
 def test_mode_frequency():
     mode = ModeIndices(0, 1, 1)
     assert mode_frequency(mode, 2.0, 3e8) == pytest.approx(3e8 * math.pi / 2.0 * math.sqrt(2.0))
@@ -59,6 +74,27 @@ def test_config_validation():
         ExperimentConfig(cavity_length=1.0, wavelength=1e-6, finesse=-3.0)
     with pytest.raises(ValueError):
         ExperimentConfig(cavity_length=1.0, wavelength=1e-6, measurement_time_override=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("cavity_length", True, "cavity length must be a number, got True"),
+        ("cavity_length", math.nan, "cavity length must be positive"),
+        ("wavelength", False, "wavelength must be a number, got False"),
+        ("wavelength", math.nan, "wavelength must be positive"),
+        # a NaN finesse once gave derive_params a silent NaN tau
+        ("finesse", math.nan, "finesse must be positive"),
+        ("finesse", True, "finesse must be a number"),
+        ("measurement_time_override", math.nan, "measurement time must be positive"),
+        ("measurement_time_override", True, "measurement time must be a number"),
+    ],
+    ids=["bool-length", "nan-length", "bool-wavelength", "nan-wavelength", "nan-finesse", "bool-finesse",
+         "nan-time", "bool-time"],
+)
+def test_config_refuses_nan_and_bool(key, value, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**{"cavity_length": 1000.0, "wavelength": 500e-9, key: value})
 
 
 def test_large_wavelength_ratio_warns():
@@ -84,6 +120,14 @@ def test_lossless_copy_drops_finesse():
     assert DEFAULT.finesse == 1e4
     assert DEFAULT.lossless().finesse is None
     assert DEFAULT.lossless().cavity_length == DEFAULT.cavity_length
+
+
+def test_lossless_copy_does_not_warn_again():
+    with pytest.warns(UserWarning) as caught:
+        config = ExperimentConfig(cavity_length=1.0, wavelength=0.5, finesse=10.0)
+        lossless = config.lossless()
+    assert len(caught) == 1
+    assert lossless == (1.0, 0.5, None, None, None, TimeConvention.CAPTION)
 
 
 def test_storage_time_conventions():
@@ -141,6 +185,10 @@ def test_invalid_dimensionless_params():
         DimensionlessParams(kappa=-1.0, mode_index=1, tau=1.0)
     with pytest.raises(ValueError):
         DimensionlessParams(kappa=1.0, mode_index=0, tau=1.0)
+    # NaN fails no <= test, and a bool is not a mode index
+    for kappa, mode_index, tau in [(math.nan, 1, 1.0), (1.0, 1, math.nan), (1.0, True, 1.0), (1.0, math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="invalid dimensionless parameters"):
+            DimensionlessParams(kappa=kappa, mode_index=mode_index, tau=tau)
 
 
 def test_validate_regime_weak_field_flag():
