@@ -11,10 +11,12 @@ comparison.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import NamedTuple
 
-from .physical import CODATA, DimensionlessParams, ExperimentConfig, check_photon_number, derive_params, storage_time
+from .physical import CODATA, DimensionlessParams, ExperimentConfig, derive_params, storage_time
+from .physical import check_count, check_instance, check_real, checked_record
 
 
 class ProbeKind(Enum):
@@ -27,31 +29,25 @@ class CoherentFormula(Enum):
     ASYMPTOTIC = "asymptotic"
 
 
-class _ProbeState(NamedTuple):
+@checked_record
+class ProbeState(NamedTuple):
+    """A probe of n photons, n in (0, inf) and kept as a float; ``kind`` is
+    a ProbeKind and ``coherent_formula`` a CoherentFormula."""
+
     kind: ProbeKind
     n: float
     coherent_formula: CoherentFormula = CoherentFormula.ASYMPTOTIC
 
-
-class ProbeState(_ProbeState):
-    """A probe of n > 0 photons; n is finite and not a bool."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        check_photon_number(self.n)
-        if self.n == 0:
-            raise ValueError("photon number must be positive")
-        return self
+    def _checked(self):
+        kind, n, formula = self
+        check_instance(kind, ProbeKind, "kind")
+        check_instance(formula, CoherentFormula, "coherent formula")
+        return kind, check_real(n, "photon number", gt=0), formula
 
 
 def qcrb(state: ProbeState, tau: float) -> float:
-    """Minimal delta_c/c of a single measurement after phase tau."""
-    if isinstance(tau, bool):
-        raise ValueError(f"tau must be a number, got {tau!r}")
-    if tau <= 0:
-        raise ValueError("no information at zero evolution time")
+    """Minimal delta_c/c of a single measurement after phase tau in (0, inf)."""
+    tau = check_real(tau, "tau", gt=0)
     n = state.n
     # root_f = sqrt(F)/2 for the quantum Fisher information F, and the
     # bound is 1/sqrt(F)
@@ -70,12 +66,11 @@ def qcrb(state: ProbeState, tau: float) -> float:
 
 
 def backaction(n: float, big_m: int, kappa: float) -> float:
-    """Signed light-speed modification -kappa*n*M caused by the probe."""
-    check_photon_number(n)
-    if isinstance(big_m, bool) or not 1 <= big_m < math.inf:  # NaN fails too
-        raise ValueError(f"need M >= 1, got {big_m!r}")
-    if isinstance(kappa, bool) or not 0 < kappa < math.inf:  # NaN fails too
-        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
+    """Signed light-speed modification -kappa*n*M caused by the probe, for
+    n in [0, inf), an integer M within [1, float max] and kappa in (0, inf)."""
+    n = check_real(n, "photon number", ge=0)
+    big_m = check_count(big_m, "M", 1, sys.float_info.max)
+    kappa = check_real(kappa, "kappa", gt=0)
     shift = -kappa * n * big_m
     if shift == -math.inf:
         raise ValueError(f"back-action at n={n:.3g} is outside float range")

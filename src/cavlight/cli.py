@@ -26,6 +26,7 @@ from .io import (
     dump_csv, dump_json, fieldmap_chunks, fmt, provenance_block, table_to_json, table_to_text,
 )
 from .physical import ExperimentConfig, LengthConvention, ModeIndices, TimeConvention, derive_params, validate_regime
+from .physical import check_count, check_real
 
 # fieldmap, fields and greens load numpy, and closedform and resonance take
 # 2-4 ms to import: only the commands that use them import them
@@ -37,14 +38,7 @@ EXIT_QUADRATURE = 4
 
 PI = math.pi
 
-CONFIG_KEYS = {
-    "cavity_length_m": (int, float),
-    "wavelength_m": (int, float),
-    "finesse": (int, float, type(None)),
-    "measurement_time_s": (int, float, type(None)),
-    "mode": (list, type(None)),
-    "lossy_time_convention": (str, type(None)),
-}
+CONFIG_KEYS = ("cavity_length_m", "wavelength_m", "finesse", "measurement_time_s", "mode", "lossy_time_convention")
 REQUIRED_KEYS = ("cavity_length_m", "wavelength_m")
 AXES = ("xi", "eta", "zeta")
 TRADEOFF_COLUMNS = ("n", "qcrb", "backaction_abs")
@@ -78,36 +72,23 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
     for key in REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
-    for key, value in raw.items():
-        # bool is a subclass of int, and no key takes a bool
-        if not isinstance(value, CONFIG_KEYS[key]) or isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} has invalid type {type(value).__name__}")
-        # NaN fails the <= too, and a JSON integer can exceed the float range
-        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"config key {key!r} must be finite and within float range, got {value}")
-
-    mode = None
-    if raw.get("mode") is not None:
-        indices = raw["mode"]
-        if len(indices) != 3 or not all(type(i) is int for i in indices):
-            raise ConfigError("mode must be a list of three integers")
-        with _config_errors():
-            mode = ModeIndices(*indices)
+    indices = raw.get("mode")
+    if not (indices is None or isinstance(indices, list) and len(indices) == 3):
+        raise ConfigError("mode must be a list of three integers")
     convention = TimeConvention.CAPTION
     if raw.get("lossy_time_convention") is not None:
         try:
             convention = TimeConvention(raw["lossy_time_convention"])
         except ValueError as exc:
             raise ConfigError(f"invalid lossy_time_convention: {raw['lossy_time_convention']!r}") from exc
+    # the records refuse each value that is not a number, or an integer, in range
     with _config_errors():
         config = ExperimentConfig(
-            cavity_length=float(raw["cavity_length_m"]),
-            wavelength=float(raw["wavelength_m"]),
-            finesse=None if raw.get("finesse") is None else float(raw["finesse"]),
-            measurement_time_override=(
-                None if raw.get("measurement_time_s") is None else float(raw["measurement_time_s"])
-            ),
-            mode=mode,
+            cavity_length=raw["cavity_length_m"],
+            wavelength=raw["wavelength_m"],
+            finesse=raw.get("finesse"),
+            measurement_time_override=raw.get("measurement_time_s"),
+            mode=None if indices is None else ModeIndices(*indices),
             time_convention=convention,
         )
         derive_params(config)
@@ -195,10 +176,9 @@ def _log_sweep(lo: float, hi: float, points: int) -> list[float]:
 
 
 def cmd_tradeoff(args) -> tuple[int, str]:
-    if args.points < 1:
-        raise ConfigError(f"--points must be a positive count, got {args.points}")
-    if not (math.isfinite(args.decades) and args.decades > 0):
-        raise ConfigError(f"--decades must be a finite positive number, got {args.decades}")
+    with _config_errors():
+        check_count(args.points, "--points", 1)
+        check_real(args.decades, "--decades", gt=0)
     config, raw = load_config(args.config)
     kind = ProbeKind(args.state)
     formula = CoherentFormula(args.formula)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .physical import check_real
+
 PI = math.pi
 
 # bound on |coordinate| of every evaluation point: against 60-digit arithmetic the
@@ -34,15 +36,12 @@ class SingularKernelError(ValueError):
 
 def check_point(point) -> tuple[float, float, float]:
     """The point as three floats; ValueError(POINT_RULE) unless it is three
-    finite coordinates, none a bool, with |c| <= MAX_COORDINATE."""
+    coordinates that physical.check_real takes within +-MAX_COORDINATE."""
     try:
-        p = () if isinstance(point, str) else tuple(point)
-        # float() takes a bool as 0 or 1, and no coordinate is one
-        p = () if any(isinstance(c, bool) for c in p) else tuple(map(float, p))
-    except (TypeError, ValueError):  # not a sequence of numbers
+        p = tuple(check_real(c, "coordinate", ge=-MAX_COORDINATE, le=MAX_COORDINATE) for c in point)
+    except (TypeError, ValueError):  # not a sequence of numbers in range
         p = ()
-    # NaN fails the <= too
-    if len(p) != 3 or not all(abs(c) <= MAX_COORDINATE for c in p):
+    if len(p) != 3:
         raise ValueError(POINT_RULE)
     return p
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .closedform import MAX_COORDINATE
+from .physical import check_count, check_real
 
 AxisRange = tuple[float, float, int]
 
@@ -15,7 +17,9 @@ class GridSpec:
     """Rectilinear evaluation grid in box coordinates (units of pi).
 
     Each axis is (start, stop, count).  A single-point axis (count 1)
-    pins that coordinate, which is how planar slices are expressed.
+    pins that coordinate, which is how planar slices are expressed.  The
+    ends lie within +-MAX_COORDINATE, as every evaluation point does, and
+    the count is an integer of at least 1.
     """
 
     xi: AxisRange = (-np.pi, 2.0 * np.pi, 48)
@@ -24,15 +28,9 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (start, stop, count) in zip(("xi", "eta", "zeta"), self.axes):
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} axis count must be an integer, got {count!r}")
-            if count < 1:
-                raise ValueError(f"{name} axis needs at least one point")
-            if not (np.isfinite(start) and np.isfinite(stop)):
-                raise ValueError(f"{name} axis range must be finite")
-            # taken in Python floats, where an overflow gives inf and no numpy warning
-            if not math.isfinite(float(stop) - float(start)):
-                raise ValueError(f"{name} axis span must be finite")
+            check_count(count, f"{name} axis count", 1)
+            for end, value in (("start", start), ("stop", stop)):
+                check_real(value, f"{name} axis {end}", ge=-MAX_COORDINATE, le=MAX_COORDINATE)
             if count > 1 and stop <= start:
                 raise ValueError(f"{name} axis range must be increasing")
 

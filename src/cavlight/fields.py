@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modes
+from .modes import MAX_LARGE_M, MIN_LARGE_M, check_big_m  # the large-M rule and its bounds
 from .fieldmap import FieldMap, GridSpec
 from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction
 from .greens import check_points, convolve_point, convolve_points
@@ -35,12 +36,6 @@ SRC_LARGE_M = SourceFunction(None, "4sin2eta", (2, -2, 0, 0, 0))
 
 G_SOURCES = (SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4)
 _SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
-
-MIN_LARGE_M = 8
-# h_tilde peaks at about 54.6, at the cavity centre, and dcz sums two
-# copies of M*h_tilde; up to this M every map value stays finite with
-# room for quadrature error
-MAX_LARGE_M = 10**306
 
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
@@ -128,8 +123,6 @@ def lightspeed_field(metric: MetricPerturbation):
 
 def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threads: int) -> np.ndarray:
     """(h00, h11, h22, h33, h23, error, converged) per point, one row each."""
-    if big_m is not None and not MIN_LARGE_M <= big_m <= MAX_LARGE_M:
-        raise ValueError(f"large-M metric needs {MIN_LARGE_M} <= M <= {MAX_LARGE_M:.0e}; a larger M leaves float range")
     if big_m is None:
         r = convolve_points(_SRC_G, pts, spec, threads)
         g1, g2, g3, g3_tilde, g4 = r.value.T
@@ -143,6 +136,7 @@ def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threa
         # h00..h33 each sum four g integrals with weight 1/2
         error = 2.0 * r.error
     else:
+        big_m = check_big_m(big_m)
         r = convolve_points(SRC_LARGE_M, pts, spec, threads)
         h = big_m * r.value
         zero = np.zeros(len(pts))
@@ -164,9 +158,7 @@ def _mirrored(values: np.ndarray) -> bool:
     pi/2.
     """
     tol = 4.0 * np.finfo(float).eps * max(PI, float(np.max(np.abs(values))))
-    # an axis far enough out to overflow is not mirrored; convolve_points refuses it
-    with np.errstate(over="ignore"):
-        return bool(np.all(np.abs(values + values[::-1] - PI) <= tol))
+    return bool(np.all(np.abs(values + values[::-1] - PI) <= tol))
 
 
 def _fold(grid: GridSpec, swap_eta_zeta: bool):
@@ -205,8 +197,9 @@ def metric_grid(
 ) -> FieldMap:
     """Metric components plus light-speed deviations on a grid.
 
-    big_m = None selects the (011) mode; otherwise the large-M mode,
-    for MIN_LARGE_M <= big_m <= MAX_LARGE_M (ValueError outside).
+    big_m = None selects the (011) mode; otherwise the large-M mode, for
+    an M that modes.check_big_m takes: an integer in [MIN_LARGE_M,
+    MAX_LARGE_M], which warns below modes.LARGE_M_WARN_THRESHOLD.
     Only symmetry-distinct nodes are evaluated: the field is unchanged
     under xi -> pi-xi, eta -> pi-eta and zeta -> pi-zeta (h23 changes
     sign under the last two), and the (011) field under eta <-> zeta

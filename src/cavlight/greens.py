@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -29,29 +28,33 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SingularKernelError
-from .closedform import gauss_legendre, line_kernel
+from .closedform import check_point, gauss_legendre, line_kernel
+from .physical import check_count, check_real
 
 PI = math.pi
 
 
+# a panel at depth 52 is pi*2^-52 wide, 1.6 ulp of pi; one level deeper its
+# Gauss nodes round onto one another at coordinates near pi
+MAX_DEPTH = 52
+# closedform.gauss_legendre is checked against mpmath for orders 1-24
+MAX_PANEL_ORDER = 24
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy controls for the adaptive panel quadrature."""
+    """Accuracy controls for the adaptive panel quadrature: rel_tol in
+    (0, 1), an integer max_depth in [1, MAX_DEPTH] and an integer
+    panel_order in [2, MAX_PANEL_ORDER]."""
 
     rel_tol: float = 1e-6
     max_depth: int = 18
     panel_order: int = 8
 
     def __post_init__(self):
-        # NaN fails the comparison too
-        if isinstance(self.rel_tol, bool) or not isinstance(self.rel_tol, numbers.Real) or not 0 < self.rel_tol < 1:
-            raise ValueError(f"tolerance must be a number in (0, 1), got {self.rel_tol!r}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (self.max_depth, self.panel_order)):
-            raise ValueError(f"max depth and panel order must be integers, got {self.max_depth!r} and {self.panel_order!r}")
-        if self.max_depth < 1:
-            raise ValueError("max depth must be at least 1")
-        if self.panel_order < 2:
-            raise ValueError("panel order must be at least 2")
+        check_real(self.rel_tol, "tolerance", gt=0, lt=1)
+        check_count(self.max_depth, "max depth", 1, MAX_DEPTH)
+        check_count(self.panel_order, "panel order", 2, MAX_PANEL_ORDER)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -137,18 +140,15 @@ def _kernel_arrays(xi, eta, zeta, *, out=None):
 
 
 def check_points(points) -> np.ndarray:
-    """The points as a float (N, 3) array; ValueError unless they form a
-    non-empty (N, 3) array of finite coordinates, none a bool, with
-    |c| <= MAX_COORDINATE."""
+    """The points as a float (N, 3) array; ValueError(POINT_RULE) unless there
+    is one at least and closedform.check_point takes each.  A float array,
+    such as a grid's nodes, holds no bool or str and is checked whole."""
     if isinstance(points, np.ndarray) and points.dtype == float:
-        pts = points  # holds no bool, so a grid's nodes are not looked through
+        pts = points
     else:
         try:
-            # asarray(..., dtype=float) takes a bool as 0 or 1
-            if any(isinstance(c, (bool, np.bool_)) for c in np.asarray(points, dtype=object).flat):
-                raise ValueError(POINT_RULE)
-            pts = np.asarray(points, dtype=float)
-        except (TypeError, ValueError):  # ragged, not numeric or a bool
+            pts = np.array([check_point(p) for p in points], dtype=float).reshape(-1, 3)
+        except TypeError:  # not iterable
             pts = np.empty(0)
     # NaN fails the <= too
     if pts.shape[1:] != (3,) or not len(pts) or not np.all(np.abs(pts) <= MAX_COORDINATE):
@@ -398,8 +398,7 @@ def convolve_points(
     means one worker per CPU; a process pool starts only when the
     predicted work pays for it.
     """
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 0:
-        raise ValueError(f"threads must be 0 (one worker per CPU) or a positive worker count, got {threads!r}")
+    check_count(threads, "threads")
     pts = check_points(points)
     inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
     cost = np.where(inside, _SINGULAR_COST, 1)
@@ -517,10 +516,7 @@ def mc_oracle_many(
     run on threads, and added in block order, so the estimates are the
     same bits for any CPU count.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1000:
-        raise ValueError("use at least 1000 samples")
+    samples = check_count(samples, "samples", 1000)
     sources = list(sources)
     if not sources:
         raise ValueError("sources must hold at least one source")

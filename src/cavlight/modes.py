@@ -16,9 +16,25 @@ import warnings
 
 import numpy as np
 
-# Below this index the dropped 1/M corrections to the (0,1,M) stress
-# tensor are no longer clearly negligible.
+from .physical import check_count
+
+# The large-M (0,1,M) form drops corrections of order 1/M: below 64 they are
+# no longer clearly negligible, and below 8 (1/M above 12%) it is refused.
+MIN_LARGE_M = 8
 LARGE_M_WARN_THRESHOLD = 64
+# h_tilde peaks at about 54.6, at the cavity centre, and a map's dcz sums
+# two copies of M*h_tilde; up to this M every map value stays finite with
+# room for quadrature error
+MAX_LARGE_M = 10**306
+
+
+def check_big_m(big_m) -> int:
+    """big_m as an int, if it is an integer in [MIN_LARGE_M, MAX_LARGE_M],
+    else ValueError; a UserWarning below LARGE_M_WARN_THRESHOLD."""
+    big_m = check_count(big_m, "M", MIN_LARGE_M, MAX_LARGE_M)
+    if big_m < LARGE_M_WARN_THRESHOLD:
+        warnings.warn(f"large-M form used with M={big_m}; dropped corrections are of order 1/M", stacklevel=3)
+    return big_m
 
 
 # -- dimensionless stress components for the (0,1,1) mode -------------------
@@ -60,21 +76,12 @@ class StressTensor:
 
     Values are relative to n*hbar*Omega/V.  Pure functions of (eta, zeta);
     there is no xi dependence inside the cavity, and the tensor vanishes
-    outside.  ``big_m`` of None selects the (0,1,1) mode, an integer
-    M >= 2 the large-M (0,1,M) form.
+    outside.  ``big_m`` of None selects the (0,1,1) mode, an M that
+    check_big_m takes the large-M (0,1,M) form.
     """
 
     def __init__(self, big_m: int | None = None):
-        if big_m is not None:
-            if big_m < 2:
-                raise ValueError("large-M stress tensor requires M >= 2")
-            if big_m < LARGE_M_WARN_THRESHOLD:
-                warnings.warn(
-                    f"large-M stress form used with M={big_m}; dropped "
-                    f"corrections are of order 1/M",
-                    stacklevel=2,
-                )
-        self.big_m = big_m
+        self.big_m = None if big_m is None else check_big_m(big_m)
 
     def component(self, mu: int, nu: int, eta, zeta):
         """t^{mu nu}(eta, zeta), with mu, nu in 0..3."""
@@ -135,5 +142,5 @@ def stress_components_011() -> StressTensor:
 
 
 def stress_components_01M(big_m: int) -> StressTensor:
-    """Large-M stress tensor of the (0,1,M) mode; rejects M < 2."""
+    """Large-M stress tensor of the (0,1,M) mode, for an M that check_big_m takes."""
     return StressTensor(big_m)

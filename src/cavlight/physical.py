@@ -8,6 +8,7 @@ CODATA 2018; the Planck length is derived, never hard-coded.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from enum import Enum
 from typing import NamedTuple
@@ -59,41 +60,78 @@ class PhysicalConstants(NamedTuple):
 CODATA = PhysicalConstants()
 
 
-def _check_positive(value, name: str) -> None:
-    """Raise ValueError unless value is a positive number; NaN and a bool are not."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not value > 0:
-        raise ValueError(f"{name} must be positive")
+def _not_a_number(x) -> bool:
+    # a bool is an int, a numpy str has __float__, and so has a numpy bool, which is no bool
+    return isinstance(x, (bool, str, bytes)) or getattr(getattr(x, "dtype", None), "kind", None) == "b"
 
 
-class _ModeIndices(NamedTuple):
+def check_real(x, name: str, *, gt=-math.inf, ge=None, lt=math.inf, le=None) -> float:
+    """x as a float; ValueError naming it unless x is a real number (an int,
+    a float or a numpy number; not a bool, a str or an int beyond float
+    range) above gt, or at least ge, and below lt, or at most le."""
+    try:
+        # float() would parse a str and take a bool as 0 or 1
+        v = math.nan if _not_a_number(x) else type(x).__float__(x)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        v = math.nan
+    # NaN fails every comparison
+    if (v > gt if ge is None else v >= ge) and (v < lt if le is None else v <= le):
+        return v
+    lo = f"({gt:g}" if ge is None else f"[{ge:g}"
+    hi = f"{lt:g})" if le is None else f"{le:g}]"
+    raise ValueError(f"{name} must be a number in {lo}, {hi}, got {x!r}")
+
+
+def check_count(x, name: str, lo: int = 0, hi: float = math.inf) -> int:
+    """x as an int; ValueError naming it unless x is an integer (an int or
+    a numpy integer; not a bool, a float or a str) with lo <= x <= hi."""
+    try:
+        v = None if _not_a_number(x) else type(x).__index__(x)
+    except (AttributeError, TypeError):
+        v = None
+    if v is not None and lo <= v <= hi:
+        return v
+    raise ValueError(f"{name} must be an integer in [{lo:g}, {hi:g}{')' if hi == math.inf else ']'}, got {x!r}")
+
+
+def check_instance(x, cls: type, name: str):
+    """x, unless it is not a cls: then ValueError naming it."""
+    if not isinstance(x, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {x!r}")
+    return x
+
+
+def checked_record(cls):
+    """Class decorator for a NamedTuple whose ``_checked`` returns its field
+    values checked and made plain (a float for a real, an int for a count).
+    The constructor, ``_make`` and so ``_replace`` build the record from
+    them, and ``inspect.signature`` still shows the fields."""
+    fields_new = cls.__new__
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, fields_new(cls, *args, **kwargs)._checked())
+
+    __new__.__wrapped__ = fields_new
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+@checked_record
+class ModeIndices(NamedTuple):
+    """Wave-vector indices (l_x, l_y, l_z) of a box mode: non-negative
+    integers (check_count), kept as ints, of which at most one is zero, as
+    otherwise the mode function vanishes identically."""
+
     l_x: int
     l_y: int
     l_z: int
 
-
-class ModeIndices(_ModeIndices):
-    """Wave-vector indices (l_x, l_y, l_z) of a box mode.
-
-    Each index is an integer, not a bool.  At most one index may be zero
-    (and not all), otherwise the mode function vanishes identically.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        ls = tuple(self)
-        # an int or a numpy integer, which have __index__; a bool has it too
-        if any(isinstance(l, bool) or not hasattr(type(l), "__index__") for l in ls):
-            raise ValueError(f"mode indices must be integers, got {ls}")
-        if any(l < 0 for l in ls):
-            raise ValueError(f"mode indices must be non-negative, got {ls}")
-        n_zero = sum(1 for l in ls if l == 0)
-        if n_zero > 1:
+    def _checked(self):
+        ls = tuple(check_count(l, f"mode index {name}") for name, l in zip(self._fields, self))
+        if ls.count(0) > 1:
             raise ValueError(f"at most one mode index may be zero, got {ls}")
-        return self
+        return ls
 
     @property
     def index_norm(self) -> float:
@@ -103,9 +141,7 @@ class ModeIndices(_ModeIndices):
 
 def mode_frequency(mode: ModeIndices, length: float, c: float) -> float:
     """Angular frequency Omega = c*|k| with k_i = l_i*pi/L."""
-    if length <= 0:
-        raise ValueError("cavity length must be positive")
-    return c * math.pi / length * mode.index_norm
+    return c * math.pi / check_real(length, "cavity length", gt=0) * mode.index_norm
 
 
 class TimeConvention(Enum):
@@ -120,7 +156,18 @@ class LengthConvention(Enum):
     RIGID_RODS = "rigid-rods"
 
 
-class _ExperimentConfig(NamedTuple):
+@checked_record
+class ExperimentConfig(NamedTuple):
+    """Cavity geometry, optical wavelength and loss model of one scenario.
+
+    ``finesse`` of None means a lossless cavity (storage time L/c unless
+    overridden).  ``mode`` of None selects (0, 1, M) with M = round(2L/lambda)
+    so that the mode frequency matches the stated wavelength.  Lengths,
+    finesse and time are finite positive numbers (check_real), kept as
+    floats; ``mode`` is None or a ModeIndices, and ``time_convention`` a
+    TimeConvention.  A wavelength of 1% of the length or more warns.
+    """
+
     cavity_length: float
     wavelength: float
     finesse: float | None = None
@@ -128,33 +175,22 @@ class _ExperimentConfig(NamedTuple):
     mode: ModeIndices | None = None
     time_convention: TimeConvention = TimeConvention.CAPTION
 
-
-class ExperimentConfig(_ExperimentConfig):
-    """Cavity geometry, optical wavelength and loss model of one scenario.
-
-    ``finesse`` of None means a lossless cavity (storage time L/c unless
-    overridden).  ``mode`` of None selects (0, 1, M) with M = round(2L/lambda)
-    so that the mode frequency matches the stated wavelength.  Lengths,
-    finesse and time are positive numbers; NaN and a bool are refused.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_positive(self.cavity_length, "cavity length")
-        _check_positive(self.wavelength, "wavelength")
-        if self.finesse is not None:
-            _check_positive(self.finesse, "finesse")
-        if self.measurement_time_override is not None:
-            _check_positive(self.measurement_time_override, "measurement time")
-        if self.wavelength / self.cavity_length >= WAVELENGTH_RATIO_WARN:
+    def _checked(self):
+        length, wavelength, finesse, time, mode, convention = self
+        length = check_real(length, "cavity length", gt=0)
+        wavelength = check_real(wavelength, "wavelength", gt=0)
+        finesse = None if finesse is None else check_real(finesse, "finesse", gt=0)
+        time = None if time is None else check_real(time, "measurement time", gt=0)
+        if mode is not None:
+            check_instance(mode, ModeIndices, "mode")
+        check_instance(convention, TimeConvention, "time convention")
+        if wavelength / length >= WAVELENGTH_RATIO_WARN:
             warnings.warn(
                 "wavelength is not small compared to the cavity length; "
                 "the high-index mode picture may not apply",
-                stacklevel=2,
+                stacklevel=3,
             )
-        return self
+        return length, wavelength, finesse, time, mode, convention
 
     @property
     def resolved_mode(self) -> ModeIndices:
@@ -164,29 +200,27 @@ class ExperimentConfig(_ExperimentConfig):
         return ModeIndices(0, 1, big_m)
 
     def lossless(self) -> ExperimentConfig:
-        """Copy with the finesse removed, not checked again: it does not warn twice."""
-        return self._replace(finesse=None)
+        """Copy with the finesse removed; it does not warn a second time."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return self._replace(finesse=None)
 
 
-class _DimensionlessParams(NamedTuple):
+@checked_record
+class DimensionlessParams(NamedTuple):
+    """Dimensionless inputs of every downstream formula: kappa in (0, inf),
+    the integer M within [1, float max] and tau in (0, inf].  tau may be
+    inf, a phase that overflows; the trade-off refuses it, while the regime
+    checks and the frequency shift do not read it."""
+
     kappa: float
     mode_index: int
     tau: float
 
-
-class DimensionlessParams(_DimensionlessParams):
-    """Dimensionless inputs of every downstream formula.  kappa and tau
-    are positive and M >= 1; NaN and a bool M are refused."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         kappa, mode_index, tau = self
-        # NaN fails every comparison
-        if isinstance(mode_index, bool) or not (kappa > 0 and tau > 0 and mode_index >= 1):
-            raise ValueError("invalid dimensionless parameters")
-        return self
+        kappa = check_real(kappa, "kappa", gt=0)
+        return kappa, check_count(mode_index, "M", 1, sys.float_info.max), check_real(tau, "tau", gt=0, le=math.inf)
 
     def amplitude(self, n: float) -> float:
         """P = 4*n*kappa/pi for n photons."""
@@ -237,17 +271,10 @@ class ValidityReport(NamedTuple):
         return self.weak_field_ok and self.nonlinear_qed_ok and self.wavelength_vs_planck_ok
 
 
-def check_photon_number(n: float) -> None:
-    """Raise ValueError unless n is a finite non-negative photon number;
-    a bool is not one."""
-    if isinstance(n, bool) or not (math.isfinite(n) and n >= 0):
-        raise ValueError(f"photon number must be finite and non-negative, got {n}")
-
-
 def validate_regime(config: ExperimentConfig, n: float) -> ValidityReport:
     """Check that n photons in this cavity stay in the weak-field,
     linear-electrodynamics regime."""
-    check_photon_number(n)
+    n = check_real(n, "photon number", ge=0)
     params = derive_params(config)
     margin = n * params.kappa * params.mode_index
     weak_ok = margin < WEAK_FIELD_THRESHOLD

@@ -14,7 +14,7 @@ import math
 from functools import lru_cache
 
 from .closedform import PI, box_potential, check_point, gauss_legendre
-from .physical import ExperimentConfig, LengthConvention, check_photon_number, derive_params
+from .physical import ExperimentConfig, LengthConvention, check_instance, check_real, derive_params
 
 # Gauss-Legendre orders along the propagation line and per cross-section axis
 N_LINE = 24
@@ -76,7 +76,8 @@ def frequency_shift(
     unchanged and the result is exactly zero.  Raises ValueError when
     the shift leaves float range.
     """
-    check_photon_number(n)
+    n = check_real(n, "photon number", ge=0)
+    check_instance(convention, LengthConvention, "convention")
     if convention is LengthConvention.RIGID_RODS or n == 0:
         return 0.0
     params = derive_params(config)

@@ -1,6 +1,7 @@
 """Tests for the line-segment kernel, adaptive quadrature, and MC oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,10 +174,29 @@ def test_quadrature_spec_validation():
     for rel_tol in (True, math.inf, math.nan, 1.0, 1e300, "1e-6", None):
         with pytest.raises(ValueError, match="tolerance must be a number in"):
             QuadratureSpec(rel_tol=rel_tol)
-    for kwargs in ({"max_depth": 2.5}, {"max_depth": True}, {"panel_order": 8.0}, {"panel_order": "8"}):
-        with pytest.raises(ValueError, match="must be integers"):
+    for kwargs, message in [
+        ({"max_depth": 2.5}, "max depth must be an integer in [1, 52], got 2.5"),
+        ({"max_depth": True}, "max depth must be an integer in [1, 52], got True"),
+        ({"panel_order": 8.0}, "panel order must be an integer in [2, 24], got 8.0"),
+        ({"panel_order": "8"}, "panel order must be an integer in [2, 24], got '8'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
             QuadratureSpec(**kwargs)
     assert QuadratureSpec(max_depth=np.int64(5), panel_order=np.int32(4)).max_depth == 5
+
+
+def test_quadrature_spec_bounds():
+    # the largest order and depth that a test, the bench or the ROADMAP uses pass
+    assert QuadratureSpec(max_depth=30, panel_order=14).panel_order == 14
+    assert QuadratureSpec(max_depth=greens.MAX_DEPTH, panel_order=greens.MAX_PANEL_ORDER).max_depth == 52
+    # gauss_legendre is checked for orders 1-24, and deeper panels than 52 are below an ulp of pi
+    for kwargs, message in [
+        ({"panel_order": 25}, "panel order must be an integer in [2, 24], got 25"),
+        ({"panel_order": 10**6}, "panel order must be an integer in [2, 24], got 1000000"),
+        ({"max_depth": 53}, "max depth must be an integer in [1, 52], got 53"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuadratureSpec(**kwargs)
 
 
 def test_convolve_point_unit_center():
@@ -385,7 +405,7 @@ def test_mc_oracle_is_the_same_bits_for_any_cpu_count(monkeypatch, point):
 @pytest.mark.parametrize(
     "sources, point, samples, match",
     [
-        ([SRC_UNIT], CENTER, 10, "1000 samples"),
+        ([SRC_UNIT], CENTER, 10, re.escape("samples must be an integer in [1000, inf), got 10")),
         ([SRC_UNIT], CENTER, 1e4, "samples must be an integer"),
         ([SRC_UNIT], CENTER, 1000.5, "samples must be an integer"),
         ([SRC_UNIT], CENTER, True, "samples must be an integer"),

@@ -1,12 +1,19 @@
 """Tests for the dimensionless stress-tensor components."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cavlight import fields
+from cavlight.bounds import backaction
 from cavlight.modes import (
+    MAX_LARGE_M,
+    MIN_LARGE_M,
+    StressTensor,
     f1,
     f2,
     f3,
@@ -106,3 +113,29 @@ def test_stress_01M_components():
     assert np.allclose(t.component(2, 2, eta, zeta), -osc, atol=1e-12)
     assert np.max(np.abs(t.component(2, 3, eta, zeta))) == 0.0
     assert np.max(np.abs(t.trace(eta, zeta))) < 1e-12
+
+
+@pytest.mark.parametrize("big_m", [8.5, 2.5, 2, 7, MAX_LARGE_M + 1], ids=["8.5", "2.5", "2", "7", "above"])
+def test_one_large_m_rule(big_m):
+    # metric_01M(p, 8.5) once returned 285.3 and StressTensor took 2 and 2.5
+    message = f"^{re.escape(f'M must be an integer in [8, 1e+306], got {big_m!r}')}$"
+    for call in (StressTensor, lambda m: fields.metric_01M((5.0, 5.0, 5.0), m)):
+        with pytest.raises(ValueError, match=message):
+            call(big_m)
+    assert fields.MIN_LARGE_M is MIN_LARGE_M and fields.MAX_LARGE_M is MAX_LARGE_M
+
+
+def test_large_m_rule_warns_on_every_path():
+    with pytest.warns(UserWarning, match="large-M form used with M=16"):
+        fields.metric_01M((5.0, 5.0, 5.0), 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert StressTensor(np.int64(64)).big_m == 64
+
+
+def test_mode_index_m_is_an_integer():
+    # backaction(1.0, 1.5, 1.0) once returned -1.5
+    for big_m in (1.5, 2.0, 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an integer in [1, 1.79769e+308], got {big_m!r}")):
+            backaction(1.0, big_m, 1.0)
+    assert backaction(1.0, np.int64(3), 1.0) == -3.0

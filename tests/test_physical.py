@@ -1,10 +1,13 @@
 """Tests for constants, configuration, and derived dimensionless parameters."""
 
+import inspect
 import math
+import re
 import warnings
 
 import pytest
 
+from cavlight.bounds import CoherentFormula, ProbeKind, ProbeState
 from cavlight.physical import (
     CODATA,
     DimensionlessParams,
@@ -45,7 +48,7 @@ def test_mode_indices_validation():
 
 @pytest.mark.parametrize("l_z", [True, 2.5, math.nan, math.inf, "3"], ids=["bool", "float", "nan", "inf", "str"])
 def test_mode_indices_must_be_integers(l_z):
-    with pytest.raises(ValueError, match="mode indices must be integers"):
+    with pytest.raises(ValueError, match=re.escape(f"mode index l_z must be an integer in [0, inf), got {l_z!r}")):
         ModeIndices(0, 1, l_z)
 
 
@@ -56,6 +59,54 @@ def test_records_are_named_tuples():
     for record, name in [(mode, "l_z"), (DEFAULT, "finesse"), (derive_params(DEFAULT), "tau"), (CODATA, "c")]:
         with pytest.raises(AttributeError):
             setattr(record, name, 3)
+
+
+# each record, a valid value, and a field with a bad value and its message
+RECORDS = [
+    (ModeIndices(0, 1, 2), "l_z", True, "mode index l_z must be an integer in [0, inf), got True"),
+    (DEFAULT, "cavity_length", -1.0, "cavity length must be a number in (0, inf), got -1.0"),
+    (derive_params(DEFAULT), "mode_index", 1.5, "M must be an integer in [1, 1.79769e+308], got 1.5"),
+    (ProbeState(ProbeKind.OPTIMAL, 1.0), "n", "1", "photon number must be a number in (0, inf), got '1'"),
+]
+
+
+@pytest.mark.parametrize("record, field, value, message", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_records_check_every_way_they_are_built(record, field, value, message):
+    # _replace and _make once built a record around its checks
+    cls = type(record)
+    fields = record._asdict()
+    fields[field] = value
+    for build in (lambda: cls(**fields), lambda: cls._make(fields.values()), lambda: record._replace(**{field: value})):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+    assert list(inspect.signature(cls).parameters) == list(cls._fields)
+    assert cls._make(record) == record and record._replace() == record
+
+
+def test_records_keep_plain_numbers():
+    import numpy as np
+
+    mode = ModeIndices(np.int64(0), 1, np.int32(2))
+    assert mode == (0, 1, 2) and all(type(l) is int for l in mode)
+    config = ExperimentConfig(cavity_length=1000, wavelength=np.float32(5e-7))
+    assert type(config.cavity_length) is float and type(config.wavelength) is float
+
+
+def test_config_refuses_a_convention_or_mode_of_another_type():
+    # the str "pi" once ran as the caption convention: 3.34e-4 s, not 1.06e-4 s
+    with pytest.raises(ValueError, match=re.escape("time convention must be a TimeConvention, got 'pi'")):
+        ExperimentConfig(1.0, 5e-7, finesse=1e5, time_convention="pi")
+    pi = ExperimentConfig(1.0, 5e-7, finesse=1e5, time_convention=TimeConvention.PI)
+    assert storage_time(pi) == pytest.approx(1e5 / (math.pi * CODATA.c), rel=1e-15)
+    # a plain tuple once failed later in derive_params with an AttributeError
+    with pytest.raises(ValueError, match=re.escape("mode must be a ModeIndices, got (0, 0, 3)")):
+        ExperimentConfig(1.0, 5e-7, mode=(0, 0, 3))
+    for kind, formula, message in [
+        ("optimal", CoherentFormula.EXACT, "kind must be a ProbeKind, got 'optimal'"),
+        (ProbeKind.COHERENT, "exact", "coherent formula must be a CoherentFormula, got 'exact'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbeState(kind, 1.0, formula)
 
 
 def test_mode_frequency():
@@ -79,21 +130,21 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "key, value, match",
     [
-        ("cavity_length", True, "cavity length must be a number, got True"),
-        ("cavity_length", math.nan, "cavity length must be positive"),
-        ("wavelength", False, "wavelength must be a number, got False"),
-        ("wavelength", math.nan, "wavelength must be positive"),
+        ("cavity_length", True, "cavity length must be a number in (0, inf), got True"),
+        ("cavity_length", math.nan, "cavity length must be a number in (0, inf), got nan"),
+        ("wavelength", False, "wavelength must be a number in (0, inf), got False"),
+        ("wavelength", math.nan, "wavelength must be a number in (0, inf), got nan"),
         # a NaN finesse once gave derive_params a silent NaN tau
-        ("finesse", math.nan, "finesse must be positive"),
-        ("finesse", True, "finesse must be a number"),
-        ("measurement_time_override", math.nan, "measurement time must be positive"),
-        ("measurement_time_override", True, "measurement time must be a number"),
+        ("finesse", math.nan, "finesse must be a number in (0, inf), got nan"),
+        ("finesse", True, "finesse must be a number in (0, inf), got True"),
+        ("measurement_time_override", math.nan, "measurement time must be a number in (0, inf), got nan"),
+        ("measurement_time_override", True, "measurement time must be a number in (0, inf), got True"),
     ],
     ids=["bool-length", "nan-length", "bool-wavelength", "nan-wavelength", "nan-finesse", "bool-finesse",
          "nan-time", "bool-time"],
 )
 def test_config_refuses_nan_and_bool(key, value, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         ExperimentConfig(**{"cavity_length": 1000.0, "wavelength": 500e-9, key: value})
 
 
@@ -186,8 +237,13 @@ def test_invalid_dimensionless_params():
     with pytest.raises(ValueError):
         DimensionlessParams(kappa=1.0, mode_index=0, tau=1.0)
     # NaN fails no <= test, and a bool is not a mode index
-    for kappa, mode_index, tau in [(math.nan, 1, 1.0), (1.0, 1, math.nan), (1.0, True, 1.0), (1.0, math.nan, 1.0)]:
-        with pytest.raises(ValueError, match="invalid dimensionless parameters"):
+    for kappa, mode_index, tau, message in [
+        (math.nan, 1, 1.0, "kappa must be a number in (0, inf), got nan"),
+        (1.0, 1, math.nan, "tau must be a number in (0, inf], got nan"),
+        (1.0, True, 1.0, "M must be an integer in [1, 1.79769e+308], got True"),
+        (1.0, math.nan, 1.0, "M must be an integer in [1, 1.79769e+308], got nan"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
             DimensionlessParams(kappa=kappa, mode_index=mode_index, tau=tau)
 
 
