@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modes
 from .modes import MAX_LARGE_M, MIN_LARGE_M, check_big_m  # the large-M rule and its bounds
+from .modes import ROW_LARGE_M, ROWS_011, evaluate_row
+from .physical import check_count
 from .fieldmap import FieldMap, GridSpec
 from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction
 from .greens import check_points, convolve_point, convolve_points
@@ -25,18 +26,19 @@ PI = math.pi
 
 # each library source is its coefficient row over (1, cos 2eta, cos 2zeta,
 # cos 2eta cos 2zeta, sin 2eta sin 2zeta), which is all that the
-# quadrature and the Monte-Carlo oracle read
-SRC_F1 = SourceFunction(None, "f1", (2, -1, -1, 0, 0))
-SRC_F2 = SourceFunction(None, "f2", (0, 1, 1, -2, 0))
-SRC_F3 = SourceFunction(None, "f3", (1, 0, -2, 1, 0))
-SRC_F3_TILDE = SourceFunction(None, "f3_tilde", (1, -2, 0, 1, 0))
-SRC_F4 = SourceFunction(None, "f4", (0, 0, 0, 0, 1))
+# quadrature and the Monte-Carlo oracle read; the stress rows are modes'
+SRC_F1 = SourceFunction(None, "f1", ROWS_011[0, 0])
+SRC_F2 = SourceFunction(None, "f2", ROWS_011[1, 1])
+SRC_F3 = SourceFunction(None, "f3", ROWS_011[2, 2])
+SRC_F3_TILDE = SourceFunction(None, "f3_tilde", ROWS_011[3, 3])
+SRC_F4 = SourceFunction(None, "f4", ROWS_011[2, 3])
 SRC_UNIT = SourceFunction(None, "unit", (1, 0, 0, 0, 0))
-SRC_LARGE_M = SourceFunction(None, "4sin2eta", (2, -2, 0, 0, 0))
+SRC_LARGE_M = SourceFunction(None, "4sin2eta", ROW_LARGE_M)
 
 G_SOURCES = (SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4)
 _SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
 
+# each sourced by its row of ROWS_011, in that order
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
 
@@ -260,17 +262,16 @@ def laplacian_residual(field: FieldMap) -> ResidualStats:
     zs = field.grid.axis_values(2)
     eta, zeta = np.meshgrid(ys[1:-1], zs[1:-1], indexing="ij")
 
-    stress = modes.StressTensor(field.big_m)
     if field.big_m is None:
         scale = 1.0
-        comp_index = {"h00": (0, 0), "h11": (1, 1), "h22": (2, 2), "h33": (3, 3), "h23": (2, 3)}
+        sources = dict(zip(METRIC_COMPONENTS, ROWS_011.values()))
     else:
-        scale = float(field.big_m)
-        comp_index = {"h00": (0, 0), "h33": (3, 3)}
+        scale = float(check_count(field.big_m, "M", MIN_LARGE_M, MAX_LARGE_M))  # the map warned already
+        sources = {"h00": ROW_LARGE_M, "h33": ROW_LARGE_M}
 
     residuals = []
     norm = 0.0
-    for name, (mu, nu) in comp_index.items():
+    for name, row in sources.items():
         h = field.components[name]
         lap = (
             h[2:, 1:-1, 1:-1]
@@ -281,7 +282,7 @@ def laplacian_residual(field: FieldMap) -> ResidualStats:
             + h[1:-1, 1:-1, :-2]
             - 6.0 * h[1:-1, 1:-1, 1:-1]
         ) / dx**2
-        target = -4.0 * PI * scale * stress.component(mu, nu, eta, zeta)[None, :, :]
+        target = -4.0 * PI * scale * evaluate_row(row, eta, zeta)[None, :, :]
         target = np.broadcast_to(target, lap.shape)
         residuals.append(np.abs(lap - target))
         norm = max(norm, float(np.max(np.abs(target))))

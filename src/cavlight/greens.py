@@ -69,9 +69,9 @@ class SourceFunction:
     """Bounded source over the transverse square, with a label.
 
     ``basis`` holds the source's coefficients over the five terms
-    (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta, sin 2eta sin 2zeta):
-    one row of five, or one row per component of a vector source.  The
-    quadrature and the Monte-Carlo oracle read only ``basis``.
+    (1, cos 2eta, cos 2zeta, cos 2eta cos 2zeta, sin 2eta sin 2zeta): a
+    tuple of five reals, or of such rows, one per component of a vector
+    source.  The quadrature and the Monte-Carlo oracle read only ``basis``.
 
     A source without a basis is integrated pointwise: ``fn`` is called
     with eta of shape (n, 1, P) and zeta of shape (n, P) and returns
@@ -81,6 +81,15 @@ class SourceFunction:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     label: str
     basis: tuple | None = None
+
+    def __post_init__(self):
+        if self.basis is not None or not callable(self.fn):
+            nested = isinstance(self.basis, tuple) and self.basis and isinstance(self.basis[0], tuple)
+            for row in self.basis if nested else (self.basis,):
+                if not isinstance(row, tuple) or len(row) != 5:
+                    raise ValueError(f"source {self.label!r} needs a function or rows of five reals, got {self.basis!r}")
+                for c in row:
+                    check_real(c, f"source {self.label!r} coefficient")
 
 
 class QuadResult(NamedTuple):

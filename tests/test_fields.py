@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,18 @@ def test_laplacian_residual_checks_the_mode_the_map_carries():
     assert laplacian_residual(field).max_relative < 0.02
     # against the (011) source the same large-M values are far off
     assert laplacian_residual(dataclasses.replace(field, big_m=None)).max_relative > 0.5
+
+
+def test_laplacian_residual_warns_once_and_keeps_the_m_rule():
+    # the residual of an M = 16 map warned a second time, through StressTensor
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        field = _interior_field(PI / 64, count=3, big_m=16)
+        laplacian_residual(field)
+    assert [str(w.message) for w in caught] == ["large-M form used with M=16; dropped corrections are of order 1/M"]
+    for big_m in (7, 8.5, True, MAX_LARGE_M + 1):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an integer in [8, 1e+306], got {big_m!r}")):
+            laplacian_residual(dataclasses.replace(field, big_m=big_m))
 
 
 def test_laplacian_residual_outside_interior_rejected():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cavlight import closedform, greens, modes
+from cavlight import closedform, greens
 from cavlight.cli import main
 from cavlight.io import fmt
 from cavlight.greens import (
@@ -445,19 +445,16 @@ def test_double_angle_matches_cos_sin():
     np.testing.assert_allclose(sin2, np.sin(2.0 * x), rtol=0.0, atol=1e-15)
 
 
-def _large_m_stress(mu):
-    return lambda eta, zeta: modes.StressTensor(64).component(mu, mu, eta, zeta)
-
-
-# each library source against the physics code it encodes
+# each library source against the paper's formula for it, written out here
+# rather than read from modes, whose rows are the sources' bases
 PHYSICS = {
-    SRC_F1: [modes.f1],
-    SRC_F2: [modes.f2],
-    SRC_F3: [modes.f3],
-    SRC_F3_TILDE: [modes.f3_tilde],
-    SRC_F4: [modes.f4],
-    SRC_UNIT: [lambda eta, zeta: np.ones(np.broadcast(eta, zeta).shape)],
-    SRC_LARGE_M: [_large_m_stress(0), _large_m_stress(3)],
+    SRC_F1: lambda eta, zeta: 2.0 - np.cos(2.0 * eta) - np.cos(2.0 * zeta),
+    SRC_F2: lambda eta, zeta: np.cos(2.0 * eta) + np.cos(2.0 * zeta) - 2.0 * np.cos(2.0 * eta) * np.cos(2.0 * zeta),
+    SRC_F3: lambda eta, zeta: 1.0 - 2.0 * np.cos(2.0 * zeta) + np.cos(2.0 * zeta) * np.cos(2.0 * eta),
+    SRC_F3_TILDE: lambda eta, zeta: 1.0 - 2.0 * np.cos(2.0 * eta) + np.cos(2.0 * eta) * np.cos(2.0 * zeta),
+    SRC_F4: lambda eta, zeta: np.sin(2.0 * eta) * np.sin(2.0 * zeta),
+    SRC_UNIT: lambda eta, zeta: np.ones(np.broadcast(eta, zeta).shape),
+    SRC_LARGE_M: lambda eta, zeta: 4.0 * np.sin(eta) ** 2 + np.zeros(np.broadcast(eta, zeta).shape),
 }
 
 
@@ -468,13 +465,12 @@ def test_source_basis_matches_its_function(source):
     ce, cz = np.cos(2.0 * eta), np.cos(2.0 * zeta)
     terms = np.array([np.ones_like(eta), ce, cz, ce * cz, np.sin(2.0 * eta) * np.sin(2.0 * zeta)])
     expected = np.asarray(source.basis, dtype=float) @ terms
-    for physics in PHYSICS[source]:
-        np.testing.assert_allclose(physics(eta, zeta), expected, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(PHYSICS[source](eta, zeta), expected, rtol=0.0, atol=1e-14)
 
 
 def test_mc_oracle_matches_per_source_reference():
-    # the estimator written out per source, with the physics code of each
-    # source evaluated on every sample
+    # the estimator written out per source, with the paper's formula for
+    # each source evaluated on every sample
     sources = list(PHYSICS)
     point = (1.0, 2.5, -0.4)
     rng = greens._mc_rng(42, 5)
@@ -483,7 +479,7 @@ def test_mc_oracle_matches_per_source_reference():
     kern = greens._kernel_arrays(point[0], point[1] - ep, point[2] - zp)
     got = mc_oracle_many(sources, point, 50_000, seed=42, point_index=5)
     for src, (mean, stderr) in zip(sources, got):
-        v = kern * PHYSICS[src][0](ep, zp)
+        v = kern * PHYSICS[src](ep, zp)
         assert mean == pytest.approx(PI * PI * v.mean(), rel=1e-13)
         assert stderr == pytest.approx(PI * PI * math.sqrt(v.var() / len(v)), rel=1e-12)
 
@@ -520,3 +516,31 @@ def test_source_function_label_and_call():
     src = SourceFunction(lambda e, z: e + z, "sum")
     assert src.label == "sum" and src.basis is None
     assert src.fn(1.0, 2.0) == 3.0
+
+
+@pytest.mark.parametrize(
+    "fn, basis, match",
+    [
+        (None, (True, 0, 0, 0, 0), "coefficient must be a number in (-inf, inf), got True"),
+        (None, ("1", 0, 0, 0, 0), "coefficient must be a number in (-inf, inf), got '1'"),
+        (None, (math.nan, 0, 0, 0, 0), "coefficient must be a number in (-inf, inf), got nan"),
+        (None, (0, 0, 0, 0, math.inf), "coefficient must be a number in (-inf, inf), got inf"),
+        (None, ((1, 0, 0, 0, 0), (0, 1, 0, 0, True)), "coefficient must be a number in (-inf, inf), got True"),
+        (None, (1, 0), "needs a function or rows of five reals, got (1, 0)"),
+        (None, ((1, 0, 0, 0, 0), (1, 0)), "needs a function or rows of five reals, got ((1, 0, 0, 0, 0), (1, 0))"),
+        (None, (), "needs a function or rows of five reals, got ()"),
+        (None, [1, 0, 0, 0, 0], "needs a function or rows of five reals, got [1, 0, 0, 0, 0]"),
+        (None, None, "needs a function or rows of five reals, got None"),
+        ("f1", None, "needs a function or rows of five reals, got None"),
+    ],
+    ids=[
+        "bool", "str", "nan", "inf", "bool-in-second-row", "two-coefficients", "ragged-rows", "empty", "list",
+        "neither", "fn-not-callable",
+    ],
+)
+def test_source_function_checks_its_basis(fn, basis, match):
+    # a bool or "1" was integrated as 1 and reported converged, a NaN gave
+    # an unconverged NaN, (1, 0) failed in numpy's reshape, and no fn and no
+    # basis failed only when integrated
+    with pytest.raises(ValueError, match="^" + re.escape("source 'x' " + match) + "$"):
+        SourceFunction(fn, "x", basis)

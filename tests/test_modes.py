@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cavlight import fields
+from cavlight import fields, modes
 from cavlight.bounds import backaction
 from cavlight.modes import (
     MAX_LARGE_M,
     MIN_LARGE_M,
+    ROW_LARGE_M,
+    ROWS_011,
     StressTensor,
+    evaluate_row,
     f1,
     f2,
     f3,
     f3_tilde,
-    f4,
     stress_components_011,
     stress_components_01M,
 )
@@ -26,6 +28,31 @@ from cavlight.modes import (
 PI = math.pi
 
 angles = st.floats(min_value=0.0, max_value=PI, allow_nan=False)
+
+# the paper's f1..f4 and f3_tilde with the (011) component (mu, nu) each is,
+# written out here rather than read from modes' rows
+PAPER_011 = {
+    "f1": ((0, 0), lambda eta, zeta: 2.0 - np.cos(2.0 * eta) - np.cos(2.0 * zeta)),
+    "f2": ((1, 1), lambda eta, zeta: np.cos(2.0 * eta) + np.cos(2.0 * zeta) - 2.0 * np.cos(2.0 * eta) * np.cos(2.0 * zeta)),
+    "f3": ((2, 2), lambda eta, zeta: 1.0 - 2.0 * np.cos(2.0 * zeta) + np.cos(2.0 * zeta) * np.cos(2.0 * eta)),
+    "f3_tilde": ((3, 3), lambda eta, zeta: 1.0 - 2.0 * np.cos(2.0 * eta) + np.cos(2.0 * eta) * np.cos(2.0 * zeta)),
+    "f4": ((2, 3), lambda eta, zeta: np.sin(2.0 * eta) * np.sin(2.0 * zeta)),
+}
+
+
+@given(angles, angles)
+def test_stress_011_matches_the_paper(eta, zeta):
+    t = stress_components_011()
+    for name, ((mu, nu), formula) in PAPER_011.items():
+        expected = formula(eta, zeta)
+        assert getattr(modes, name)(eta, zeta) == pytest.approx(expected, abs=1e-14)
+        assert t.component(mu, nu, eta, zeta) == pytest.approx(expected, abs=1e-14)
+    # every other component vanishes
+    sourced = {key for key, _ in PAPER_011.values()}
+    for mu in range(4):
+        for nu in range(mu, 4):
+            if (mu, nu) not in sourced:
+                assert t.component(mu, nu, eta, zeta) == 0.0
 
 
 @given(angles, angles)
@@ -44,8 +71,8 @@ def test_f3_tilde_is_swapped_f3(eta, zeta):
 def test_stress_011_components_and_symmetry():
     t = stress_components_011()
     eta, zeta = 0.7, 2.1
-    assert t.component(0, 0, eta, zeta) == pytest.approx(f1(eta, zeta))
-    assert t.component(2, 3, eta, zeta) == pytest.approx(f4(eta, zeta))
+    assert t.component(0, 0, eta, zeta) == pytest.approx(PAPER_011["f1"][1](eta, zeta))
+    assert t.component(2, 3, eta, zeta) == pytest.approx(PAPER_011["f4"][1](eta, zeta))
     assert t.component(3, 2, eta, zeta) == t.component(2, 3, eta, zeta)
     # components not sourced by the mode vanish
     assert t.component(0, 1, eta, zeta) == 0.0
@@ -69,10 +96,12 @@ def test_stress_011_divergence_free_interior():
     assert np.max(np.abs(div)) < 1e-12
 
 
-def test_stress_01M_divergence_matches_finite_differences():
-    # d_j t^{ij} by central differences of component(); t22 carries the only
-    # partial that does not vanish, and nothing depends on xi
-    t = stress_components_01M(128)
+@pytest.mark.parametrize("big_m", [None, 128], ids=["011", "01M"])
+def test_stress_01M_divergence_matches_finite_differences(big_m):
+    # d_j t^{ij} by central differences of component(), and nothing depends
+    # on xi.  In the (011) mode the rows' partials cancel; in the large-M
+    # form t22 carries the only partial that does not vanish
+    t = StressTensor(big_m)
     g = np.linspace(0.1, PI - 0.1, 13)
     eta, zeta = np.meshgrid(g, g, indexing="ij")
     h = 1e-6
@@ -82,8 +111,29 @@ def test_stress_01M_divergence_matches_finite_differences():
         for i in (1, 2, 3)
     ]
     div = t.divergence(eta, zeta)
-    assert np.max(np.abs(div[1])) > 1.0
+    assert big_m is None or np.max(np.abs(div[1])) > 1.0
     np.testing.assert_allclose(div, fd, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("row", [*ROWS_011.values(), ROW_LARGE_M], ids=[*map(str, ROWS_011), "large-M"])
+def test_row_partials_match_finite_differences(row):
+    g = np.linspace(0.1, PI - 0.1, 13)
+    eta, zeta = np.meshgrid(g, g, indexing="ij")
+    h = 1e-6
+    d_eta = (evaluate_row(row, eta + h, zeta) - evaluate_row(row, eta - h, zeta)) / (2.0 * h)
+    d_zeta = (evaluate_row(row, eta, zeta + h) - evaluate_row(row, eta, zeta - h)) / (2.0 * h)
+    np.testing.assert_allclose(evaluate_row(row, eta, zeta, 0), d_eta, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(evaluate_row(row, eta, zeta, 1), d_zeta, rtol=0.0, atol=1e-8)
+
+
+def test_fields_integrate_the_rows():
+    # the maps integrate the very rows that StressTensor, and so criteria 3
+    # and 5, read; each f-name is its source's row
+    for src, row in zip(fields.G_SOURCES, ROWS_011.values(), strict=True):
+        assert src.basis is row
+        assert getattr(modes, src.label).args == (row,)
+    assert all(a is b for a, b in zip(fields._SRC_G.basis, ROWS_011.values(), strict=True))
+    assert fields.SRC_LARGE_M.basis is ROW_LARGE_M
 
 
 def test_stress_kind_validation():
