@@ -11,7 +11,7 @@ verifies the solution against -4*pi times its source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ _SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
 
-@dataclass(frozen=True)
-class GIntegrals:
+class GIntegrals(NamedTuple):
     """The five convolution integrals of the (011) stress sources at a point.
 
     ``error`` bounds the absolute quadrature error of each of the five
@@ -64,8 +63,7 @@ class GIntegrals:
         return (self.g1, self.g2, self.g3, self.g3_tilde, self.g4)
 
 
-@dataclass(frozen=True)
-class MetricPerturbation:
+class MetricPerturbation(NamedTuple):
     """Metric components at a point, in units of P; trace-free by construction.
 
     ``error`` bounds the absolute quadrature error of each component and
@@ -227,8 +225,7 @@ def metric_grid(
     return FieldMap(grid, comp, errors, converged, big_m)
 
 
-@dataclass(frozen=True)
-class ResidualStats:
+class ResidualStats(NamedTuple):
     """Discrete-Laplacian residual of a field map against its source."""
 
     max_relative: float

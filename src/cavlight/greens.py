@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SingularKernelError
 from .closedform import check_point, gauss_legendre, line_kernel
-from .physical import check_count, check_real
+from .physical import check_count, check_real, checked_record
 
 PI = math.pi
 
@@ -41,20 +40,22 @@ MAX_DEPTH = 52
 MAX_PANEL_ORDER = 24
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+@checked_record
+class QuadratureSpec(NamedTuple):
     """Accuracy controls for the adaptive panel quadrature: rel_tol in
-    (0, 1), an integer max_depth in [1, MAX_DEPTH] and an integer
-    panel_order in [2, MAX_PANEL_ORDER]."""
+    (0, 1), kept as a float, and an integer max_depth in [1, MAX_DEPTH]
+    and panel_order in [2, MAX_PANEL_ORDER], kept as ints."""
 
     rel_tol: float = 1e-6
     max_depth: int = 18
     panel_order: int = 8
 
-    def __post_init__(self):
-        check_real(self.rel_tol, "tolerance", gt=0, lt=1)
-        check_count(self.max_depth, "max depth", 1, MAX_DEPTH)
-        check_count(self.panel_order, "panel order", 2, MAX_PANEL_ORDER)
+    def _checked(self):
+        return (
+            check_real(self.rel_tol, "tolerance", gt=0, lt=1),
+            check_count(self.max_depth, "max depth", 1, MAX_DEPTH),
+            check_count(self.panel_order, "panel order", 2, MAX_PANEL_ORDER),
+        )
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -64,8 +65,8 @@ DEFAULT_SPEC = QuadratureSpec()
 _MAX_ACTIVE_PANELS = 4096
 
 
-@dataclass(frozen=True)
-class SourceFunction:
+@checked_record
+class SourceFunction(NamedTuple):
     """Bounded source over the transverse square, with a label.
 
     ``basis`` holds the source's coefficients over the five terms
@@ -82,7 +83,7 @@ class SourceFunction:
     label: str
     basis: tuple | None = None
 
-    def __post_init__(self):
+    def _checked(self):
         if self.basis is not None or not callable(self.fn):
             nested = isinstance(self.basis, tuple) and self.basis and isinstance(self.basis[0], tuple)
             for row in self.basis if nested else (self.basis,):
@@ -90,6 +91,7 @@ class SourceFunction:
                     raise ValueError(f"source {self.label!r} needs a function or rows of five reals, got {self.basis!r}")
                 for c in row:
                     check_real(c, f"source {self.label!r} coefficient")
+        return self
 
 
 class QuadResult(NamedTuple):
@@ -223,7 +225,8 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     below a share of the node's tolerance, rel_tol times its largest
     component magnitude, proportional to sqrt(panel area).  ``error`` sums the accepted
     discrepancies, so it bounds the error of every component, and
-    ``converged`` is exactly error <= rel_tol * max |value|.
+    ``converged`` is exactly error <= rel_tol * max |value| with every
+    component finite.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
     n_nodes = int(owner.max()) + 1
@@ -294,7 +297,7 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
                 value += by_node(owner[early], vals[early])
                 error += by_node(owner[early], carried[early])
                 rects, vals, owner, carried = rects[:, ~early], vals[~early], owner[~early], carried[~early]
-    converged = error <= spec.rel_tol * np.abs(value).max(axis=1)
+    converged = np.isfinite(value).all(axis=1) & (error <= spec.rel_tol * np.abs(value).max(axis=1))
     return QuadResult(value, error, converged)
 
 

@@ -618,6 +618,22 @@ def test_closed_form_paths_do_not_load_numpy(args, code, config_path):
     assert not {"dataclasses", "inspect"} & set(imported)
 
 
+def test_field_map_loads_no_dataclasses(tmp_path):
+    # start-up guard: the map's seven records were dataclasses, and
+    # dataclasses brought inspect; numpy 2 may still load inspect itself
+    args = ["-m", "cavlight.cli", "field-map", "--grid", "2", "--out", str(tmp_path / "map.csv")]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split("|")[-1] for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    depth = [len(name) - len(name.lstrip()) for name in names]
+    names = [name.strip() for name in names]
+    assert "cavlight.fields" in names and "dataclasses" not in names
+    for i in (i for i, name in enumerate(names) if name == "inspect"):
+        # -X importtime lists a module before the one that imported it, one level out
+        importer = next(names[j] for j in range(i + 1, len(names)) if depth[j] < depth[i])
+        assert importer.split(".")[0] == "numpy"
+
+
 def test_public_names_resolve_to_their_modules():
     import cavlight
 

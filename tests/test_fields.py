@@ -1,7 +1,7 @@
 """Tests for metric perturbation fields and the Poisson residual check."""
 
 import concurrent.futures
-import dataclasses
+import inspect
 import math
 import os
 import re
@@ -439,6 +439,20 @@ def test_field_map_arrays_must_match_grid():
         FieldMap(grid, field.components, field.errors, np.ones(2, dtype=bool))
 
 
+def test_field_map_checks_every_way_it_is_built():
+    # a map was a mutable dataclass: errors of 2 entries on a 27-node grid
+    # passed, and its CSV had 2 data rows
+    field = _zero_field(GridSpec(*[(1.0, 1.2, 3)] * 3))
+    short = [*field[:2], np.zeros(2), *field[3:]]
+    for build in (lambda: field._replace(errors=np.zeros(2)), lambda: FieldMap._make(short), lambda: FieldMap(*short)):
+        with pytest.raises(ValueError, match="^error/convergence array shape does not match grid$"):
+            build()
+    with pytest.raises(AttributeError):
+        field.errors = np.zeros(2)
+    assert list(inspect.signature(FieldMap).parameters) == list(FieldMap._fields)
+    assert field._replace(big_m=16).big_m == 16
+
+
 def test_laplacian_residual_small_on_interior_block():
     stats = laplacian_residual(_interior_field(PI / 64))
     assert stats.max_relative < 0.02
@@ -449,7 +463,7 @@ def test_laplacian_residual_checks_the_mode_the_map_carries():
     assert field.big_m == 1000
     assert laplacian_residual(field).max_relative < 0.02
     # against the (011) source the same large-M values are far off
-    assert laplacian_residual(dataclasses.replace(field, big_m=None)).max_relative > 0.5
+    assert laplacian_residual(field._replace(big_m=None)).max_relative > 0.5
 
 
 def test_laplacian_residual_warns_once_and_keeps_the_m_rule():
@@ -461,7 +475,7 @@ def test_laplacian_residual_warns_once_and_keeps_the_m_rule():
     assert [str(w.message) for w in caught] == ["large-M form used with M=16; dropped corrections are of order 1/M"]
     for big_m in (7, 8.5, True, MAX_LARGE_M + 1):
         with pytest.raises(ValueError, match=re.escape(f"M must be an integer in [8, 1e+306], got {big_m!r}")):
-            laplacian_residual(dataclasses.replace(field, big_m=big_m))
+            laplacian_residual(field._replace(big_m=big_m))
 
 
 def test_laplacian_residual_outside_interior_rejected():

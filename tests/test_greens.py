@@ -544,3 +544,13 @@ def test_source_function_checks_its_basis(fn, basis, match):
     # basis failed only when integrated
     with pytest.raises(ValueError, match="^" + re.escape("source 'x' " + match) + "$"):
         SourceFunction(fn, "x", basis)
+
+
+def test_an_overflowed_value_is_not_converged():
+    # a finite coefficient of 1e308 overflows to value inf, with a finite
+    # error that the infinite tolerance passed as converged
+    huge = SourceFunction(None, "x", ((1e308, 0, 0, 0, 0), (1, 0, 0, 0, 0)))
+    with pytest.warns(RuntimeWarning, match="^(overflow|invalid value) encountered"):
+        r = convolve_point(huge, (5.0, 5.0, 5.0))
+    assert r.value[0] == math.inf and math.isfinite(r.value[1]) and math.isfinite(r.error)
+    assert r.converged is False

@@ -122,7 +122,7 @@ def test_fieldmap_csv_rows_match_fmt():
     values = values.reshape(9, *field.grid.shape)
     for name, v in zip(CSV_COLUMNS[3:-1], values):
         field.components[name] = v
-    field.errors = values[-1]
+    field = field._replace(errors=values[-1])
     text = fieldmap_to_csv(field, provenance_block(None, 42))
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
     cols = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]] + [field.errors.reshape(-1)]

@@ -8,6 +8,8 @@ import warnings
 import pytest
 
 from cavlight.bounds import CoherentFormula, ProbeKind, ProbeState
+from cavlight.fieldmap import GridSpec
+from cavlight.greens import QuadratureSpec, SourceFunction
 from cavlight.physical import (
     CODATA,
     DimensionlessParams,
@@ -67,6 +69,13 @@ RECORDS = [
     (DEFAULT, "cavity_length", -1.0, "cavity length must be a number in (0, inf), got -1.0"),
     (derive_params(DEFAULT), "mode_index", 1.5, "M must be an integer in [1, 1.79769e+308], got 1.5"),
     (ProbeState(ProbeKind.OPTIMAL, 1.0), "n", "1", "photon number must be a number in (0, inf), got '1'"),
+    # the map's records were dataclasses, checked only by their constructor
+    (QuadratureSpec(), "max_depth", 53, "max depth must be an integer in [1, 52], got 53"),
+    (
+        SourceFunction(None, "x", (1, 0, 0, 0, 0)), "basis", (1, 0),
+        "source 'x' needs a function or rows of five reals, got (1, 0)",
+    ),
+    (GridSpec(), "xi", (1.0, 2.0, True), "xi axis count must be an integer in [1, inf), got True"),
 ]
 
 
