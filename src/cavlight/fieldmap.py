@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import types
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from .closedform import MAX_COORDINATE
+from .modes import MAX_LARGE_M, MIN_LARGE_M
 from .physical import check_count, check_real, checked_record
 
 AxisRange = tuple[float, float, int]
@@ -64,15 +67,16 @@ class GridSpec(NamedTuple):
 class FieldMap(NamedTuple):
     """Named component arrays on a grid, with error estimates.
 
-    Components are dimensionless, in units of the amplitude P.  ``errors``
-    bounds the absolute quadrature error of each component at a node;
-    ``converged`` flags nodes where the target tolerance was reached.
-    ``big_m`` of None means the (0,1,1) mode, an integer M the large-M
-    (0,1,M) mode.  Every array has the grid's shape, checked again by ``_replace``.
+    Components are dimensionless, in units of the amplitude P, and read-only.
+    ``errors`` is the quadrature's estimate of the absolute error of each
+    component at a node; ``converged`` flags nodes where the target
+    tolerance was reached.  ``big_m`` of None means the (0,1,1) mode, an M
+    that modes.check_big_m takes (unwarned here) the large-M (0,1,M) mode.
+    Every array has the grid's shape; ``_replace`` checks all of it again.
     """
 
     grid: GridSpec
-    components: dict[str, np.ndarray]
+    components: Mapping[str, np.ndarray]
     errors: np.ndarray
     converged: np.ndarray
     big_m: int | None = None
@@ -84,7 +88,8 @@ class FieldMap(NamedTuple):
                 raise ValueError(f"component {name!r} shape {arr.shape} != grid {shape}")
         if self.errors.shape != shape or self.converged.shape != shape:
             raise ValueError("error/convergence array shape does not match grid")
-        return self
+        big_m = None if self.big_m is None else check_count(self.big_m, "M", MIN_LARGE_M, MAX_LARGE_M)
+        return (self.grid, types.MappingProxyType(dict(self.components)), self.errors, self.converged, big_m)
 
     @property
     def all_converged(self) -> bool:

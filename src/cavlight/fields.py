@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .modes import MAX_LARGE_M, MIN_LARGE_M, check_big_m  # the large-M rule and its bounds
-from .modes import ROW_LARGE_M, ROWS_011, evaluate_row
-from .physical import check_count
+from .modes import ROW_LARGE_M, ROWS_011, ROWS_LARGE_M, evaluate_row
 from .fieldmap import FieldMap, GridSpec
 from .greens import DEFAULT_SPEC, QuadratureSpec, QuadResult, SourceFunction
 from .greens import check_points, convolve_point, convolve_points
@@ -38,7 +37,8 @@ SRC_LARGE_M = SourceFunction(None, "4sin2eta", ROW_LARGE_M)
 G_SOURCES = (SRC_F1, SRC_F2, SRC_F3, SRC_F3_TILDE, SRC_F4)
 _SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
 
-# each sourced by its row of ROWS_011, in that order
+# h^{mu nu} for each key of ROWS_011, in that order: the stress is trace-free,
+# so the trace reversal is the identity and each is the convolution of its row
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
 
@@ -64,10 +64,11 @@ class GIntegrals(NamedTuple):
 
 
 class MetricPerturbation(NamedTuple):
-    """Metric components at a point, in units of P; trace-free by construction.
+    """Metric components at a point, in units of P: each the convolution of
+    its own stress row, so the (011) h00..h23 are g1, g2, g3, g3_tilde, g4.
 
-    ``error`` bounds the absolute quadrature error of each component and
-    ``converged`` says whether the quadrature behind it reached its
+    ``error`` is the quadrature's estimate of the absolute error of each
+    component and ``converged`` says whether that quadrature reached its
     tolerance (see GIntegrals and h_tilde).
     """
 
@@ -125,24 +126,14 @@ def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threa
     """(h00, h11, h22, h33, h23, error, converged) per point, one row each."""
     if big_m is None:
         r = convolve_points(_SRC_G, pts, spec, threads)
-        g1, g2, g3, g3_tilde, g4 = r.value.T
-        columns = (
-            0.5 * (g1 + g2 + g3 + g3_tilde),
-            0.5 * (g1 + g2 - g3 - g3_tilde),
-            0.5 * (g1 - g2 + g3 - g3_tilde),
-            0.5 * (g1 - g2 + g3_tilde - g3),
-            g4,
-        )
-        # h00..h33 each sum four g integrals with weight 1/2
-        error = 2.0 * r.error
+        columns, error = r.value, r.error
     else:
         big_m = check_big_m(big_m)
         r = convolve_points(SRC_LARGE_M, pts, spec, threads)
-        h = big_m * r.value
-        zero = np.zeros(len(pts))
-        columns = (h, zero, zero, h, zero)
+        columns = np.zeros((len(pts), len(METRIC_COMPONENTS)))
+        columns[:, [list(ROWS_011).index(key) for key in ROWS_LARGE_M]] = big_m * r.value[:, None]
         error = big_m * r.error
-    return np.column_stack([*columns, error, r.converged])
+    return np.column_stack([columns, error, r.converged])
 
 
 def _metric_point(point, big_m: int | None, spec: QuadratureSpec) -> MetricPerturbation:
@@ -259,16 +250,12 @@ def laplacian_residual(field: FieldMap) -> ResidualStats:
     zs = field.grid.axis_values(2)
     eta, zeta = np.meshgrid(ys[1:-1], zs[1:-1], indexing="ij")
 
-    if field.big_m is None:
-        scale = 1.0
-        sources = dict(zip(METRIC_COMPONENTS, ROWS_011.values()))
-    else:
-        scale = float(check_count(field.big_m, "M", MIN_LARGE_M, MAX_LARGE_M))  # the map warned already
-        sources = {"h00": ROW_LARGE_M, "h33": ROW_LARGE_M}
+    # the map checked its M, and warned when it was computed
+    scale, rows = (1.0, ROWS_011) if field.big_m is None else (float(field.big_m), ROWS_LARGE_M)
 
     residuals = []
     norm = 0.0
-    for name, row in sources.items():
+    for name, key in zip(METRIC_COMPONENTS, ROWS_011):
         h = field.components[name]
         lap = (
             h[2:, 1:-1, 1:-1]
@@ -279,9 +266,9 @@ def laplacian_residual(field: FieldMap) -> ResidualStats:
             + h[1:-1, 1:-1, :-2]
             - 6.0 * h[1:-1, 1:-1, 1:-1]
         ) / dx**2
-        target = -4.0 * PI * scale * evaluate_row(row, eta, zeta)[None, :, :]
+        target = -4.0 * PI * scale * evaluate_row(rows.get(key, ()), eta, zeta)[None, :, :]
         target = np.broadcast_to(target, lap.shape)
         residuals.append(np.abs(lap - target))
         norm = max(norm, float(np.max(np.abs(target))))
-    # every source is positive strictly inside the cavity, so norm > 0
+    # t00 is positive strictly inside the cavity, so norm > 0
     return ResidualStats(max(float(r.max()) for r in residuals) / norm)

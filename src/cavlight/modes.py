@@ -50,6 +50,8 @@ ROWS_011 = {
     (3, 3): (1, -2, 0, 1, 0),
     (2, 3): (0, 0, 0, 0, 1),
 }
+# the same for the large-M (0,1,M) mode, without its oscillating 11 and 22
+ROWS_LARGE_M = {(0, 0): ROW_LARGE_M, (3, 3): ROW_LARGE_M}
 
 
 def evaluate_row(row, eta, zeta, partial: int | None = None):
@@ -91,7 +93,7 @@ class StressTensor:
 
     def __init__(self, big_m: int | None = None):
         self.big_m = None if big_m is None else check_big_m(big_m)
-        self._rows = ROWS_011 if big_m is None else {(0, 0): ROW_LARGE_M, (3, 3): ROW_LARGE_M}
+        self._rows = ROWS_011 if big_m is None else ROWS_LARGE_M
 
     def _row(self, mu: int, nu: int):
         """The basis row of t^{mu nu}; an empty one for a zero component."""

@@ -61,6 +61,9 @@ def test_g_trace_identity():
     for point in [CENTER, (1.0, 0.8, 2.0), (4.5, 1.5, 1.5)]:
         g = g_integrals(point)
         assert g.g1 == pytest.approx(g.g2 + g.g3 + g.g3_tilde, abs=max(4e-6 * abs(g.g1), 4 * g.error))
+        # the five share every panel's basis integrals, and their rows' trace
+        # is exactly zero, so the identity holds to rounding
+        assert abs(g.g1 - g.g2 - g.g3 - g.g3_tilde) <= 1e-14 * max(map(abs, g.as_tuple()))
 
 
 def _count_kernel_points(monkeypatch):
@@ -139,6 +142,19 @@ def test_metric_011_center():
     assert m.h33 == pytest.approx(m.h22, rel=1e-12)  # eta/zeta symmetry at the center
     assert m.h23 == pytest.approx(0.0, abs=1e-6)
     assert abs(m.trace) < 2e-6 * abs(m.h00) + 4 * m.error
+
+
+@pytest.mark.parametrize("point", [(1.0, 0.8, 2.0), (PI / 2, 0.0, 1.1), (4.5, 1.5, 1.5)],
+                         ids=["interior", "face", "exterior"])
+def test_metric_011_is_the_g_integrals(point):
+    # each component is the convolution of its own stress row: h00..h23 are
+    # g1..g4 with g's error, not halved sums of g with twice the error
+    g = g_integrals(point)
+    expected = (*g.as_tuple(), g.error, g.converged)
+    assert tuple(metric_011(point)) == expected
+    node = metric_grid(GridSpec(*[(c, c, 1) for c in point]), threads=1)
+    h = [node.components[name].item() for name in fields.METRIC_COMPONENTS]
+    assert (*h, node.errors.item(), node.converged.item()) == expected
 
 
 def test_h_tilde_center_equals_g1():
@@ -447,10 +463,27 @@ def test_field_map_checks_every_way_it_is_built():
     for build in (lambda: field._replace(errors=np.zeros(2)), lambda: FieldMap._make(short), lambda: FieldMap(*short)):
         with pytest.raises(ValueError, match="^error/convergence array shape does not match grid$"):
             build()
+    # the map owns the large-M rule for its M, without the warning
+    for big_m in (7, 8.5, True, MAX_LARGE_M + 1):
+        bad = [*field[:4], big_m]
+        for build in (lambda: field._replace(big_m=big_m), lambda: FieldMap._make(bad), lambda: FieldMap(*bad)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'M must be an integer in [8, 1e+306], got {big_m!r}')}$"):
+                build()
     with pytest.raises(AttributeError):
         field.errors = np.zeros(2)
+    # nor can a component be replaced: a 2-entry h00 passed, and the CSV had
+    # 2 data rows.  The map holds a read-only copy of the mapping it is given
+    components = dict(field.components)
+    field = field._replace(components=components)
+    with pytest.raises(TypeError):
+        field.components["h00"] = np.zeros(2)
+    components["h00"] = np.zeros(2)
+    assert field.components["h00"].shape == (3, 3, 3)
     assert list(inspect.signature(FieldMap).parameters) == list(FieldMap._fields)
-    assert field._replace(big_m=16).big_m == 16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert field._replace(big_m=16).big_m == 16
+        assert type(field._replace(big_m=np.int64(16)).big_m) is int
 
 
 def test_laplacian_residual_small_on_interior_block():

@@ -120,9 +120,7 @@ def test_fieldmap_csv_rows_match_fmt():
     rng = np.random.default_rng(3)
     values = np.concatenate([special, rng.standard_normal(28) * 10.0 ** rng.integers(-300, 300, 28)])
     values = values.reshape(9, *field.grid.shape)
-    for name, v in zip(CSV_COLUMNS[3:-1], values):
-        field.components[name] = v
-    field = field._replace(errors=values[-1])
+    field = field._replace(components=dict(zip(CSV_COLUMNS[3:-1], values)), errors=values[-1])
     text = fieldmap_to_csv(field, provenance_block(None, 42))
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")][1:]
     cols = [field.components[name].reshape(-1) for name in CSV_COLUMNS[3:-1]] + [field.errors.reshape(-1)]
