@@ -46,23 +46,35 @@ class ProbeState(NamedTuple):
 
 
 def qcrb(state: ProbeState, tau: float) -> float:
-    """Minimal delta_c/c of a single measurement after phase tau in (0, inf)."""
+    """Minimal delta_c/c of a single measurement after phase tau in (0, inf).
+
+    The bound is 1/sqrt(F), F = 4 Var G for the generator G = tau*(n + 1/2) +
+    (e^{-i tau} sin(tau) a^2 + h.c.)/2 of d/d ln c: the coherent exact form
+    takes its full variance n*A + B, the asymptotic form tau^2*n.  OPTIMAL is
+    the pure-phase form tau*n, which keeps only the tau*n part of G.
+    """
     tau = check_real(tau, "tau", gt=0)
     n = state.n
-    # root_f = sqrt(F)/2 for the quantum Fisher information F, and the
-    # bound is 1/sqrt(F)
+    # root_f = sqrt(F)/2 for the quantum Fisher information F
     if state.kind is ProbeKind.OPTIMAL:
         root_f = tau * n
     elif state.coherent_formula is CoherentFormula.ASYMPTOTIC:
         root_f = tau * math.sqrt(n)
     else:
-        s = math.sin(tau)
-        # sin of an infinite 2*tau raises; NaN falls to the range check below
-        s2 = math.sin(2.0 * tau) if 2.0 * tau < math.inf else math.nan
-        root_f = math.sqrt(abs((0.5 + n) * s * s + n * tau * (tau + s2)))
+        a, b = _variance_terms(tau)
+        root_f = math.sqrt(n * a + b)
     if not 0.0 < root_f < math.inf or 0.5 / root_f == math.inf:
         raise ValueError(f"delta_c/c at n={n:.3g}, tau={tau:.3g} is outside float range")
     return 0.5 / root_f
+
+
+def _variance_terms(tau: float) -> tuple[float, float]:
+    """A and B of the coherent probe's Var G = n*A + B: A = |tau + e^{-i tau}
+    sin(tau)|^2 and B = sin(tau)^2/2; A is NaN once 2*tau overflows."""
+    s = math.sin(tau)
+    # sin of an infinite 2*tau raises; NaN falls to the callers' range checks
+    s2 = math.sin(2.0 * tau) if 2.0 * tau < math.inf else math.nan
+    return tau * (tau + s2) + s * s, 0.5 * s * s
 
 
 def backaction(n: float, big_m: int, kappa: float) -> float:
@@ -82,10 +94,6 @@ class TradeoffSolution(NamedTuple):
 
     n_opt: float
     delta_c_min: float
-    method: str  # "closed-form" or "root-find"
-
-
-ROOT_BRACKET_DECADES = (0.0, 60.0)
 
 
 def optimal_tradeoff(
@@ -93,12 +101,11 @@ def optimal_tradeoff(
     state_kind: ProbeKind,
     coherent_formula: CoherentFormula = CoherentFormula.ASYMPTOTIC,
 ) -> TradeoffSolution:
-    """Solve qcrb(n) = |backaction(n)| for n.
+    """Solve qcrb(n) = |backaction(n)| for n, each probe in closed form.
 
-    Optimal and coherent-asymptotic probes admit closed forms; the
-    coherent exact formula is solved by bisection in log10(n).  Raises
+    Any positive n_opt is an answer, below one photon too.  Raises
     ValueError when tau, kappa*M or their product leaves float range, or
-    when the exact root lies outside the bracket.
+    when the bound at n_opt does.
     """
     params = config if isinstance(config, DimensionlessParams) else derive_params(config)
     tau = params.tau
@@ -108,35 +115,31 @@ def optimal_tradeoff(
         raise ValueError(f"2*tau*kappa*M is outside float range for tau = {tau:.3g}, kappa*M = {km:.3g}")
 
     if state_kind is ProbeKind.OPTIMAL:
-        n_opt, method = scale**-0.5, "closed-form"
+        n_opt = scale**-0.5
     elif coherent_formula is CoherentFormula.ASYMPTOTIC:
-        n_opt, method = scale ** (-2.0 / 3.0), "closed-form"
+        n_opt = scale ** (-2.0 / 3.0)
     else:
-        n_opt, method = _coherent_exact_root(tau, km), "root-find"
-    return TradeoffSolution(n_opt, qcrb(ProbeState(state_kind, n_opt, coherent_formula), tau), method)
+        n_opt = _coherent_exact_root(tau, scale)
+    return TradeoffSolution(n_opt, qcrb(ProbeState(state_kind, n_opt, coherent_formula), tau))
 
 
-def _coherent_exact_root(tau: float, km: float) -> float:
-    def gap(log_n: float) -> float:
-        n = 10.0**log_n
-        state = ProbeState(ProbeKind.COHERENT, n, CoherentFormula.EXACT)
-        return math.log(qcrb(state, tau)) - math.log(km * n)
-
-    lo, hi = ROOT_BRACKET_DECADES
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo <= 0 or g_hi >= 0:
-        raise ValueError(
-            f"root bracket failed: gap({lo})={g_lo:.3g}, gap({hi})={g_hi:.3g}"
-        )
-    # The Fisher information grows with n and the back-action linearly,
-    # so the gap falls strictly with log n and bisection keeps the root.
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 10.0 ** (0.5 * (lo + hi))
+def _coherent_exact_root(tau: float, scale: float) -> float:
+    """The one positive root of the cubic n^3*A + n^2*B = 1/(4 kappa^2 M^2),
+    where 1/(2 sqrt(n*A + B)) meets kappa*M*n, with scale = 2*tau*kappa*M."""
+    a, b = _variance_terms(tau)
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"the exact coherent variance is outside float range for tau = {tau:.3g}")
+    # n = n0*x turns the cubic into x^3 + beta*x^2 - 1 = 0; n0 never builds
+    # kappa^2 M^2, and A/tau^2 lies in [0.66, 4]
+    n0 = scale ** (-2.0 / 3.0) * (a / (tau * tau)) ** (-1.0 / 3.0)
+    beta = b / a / n0
+    # f(x) = x^3 + beta*x^2 - 1 is convex and increasing for x > 0 and both
+    # starts have f > 0, so Newton falls monotonically onto the root and
+    # stops when rounding no longer lets a step lower x
+    x = 1.0 if beta <= 1.0 else beta**-0.5
+    while (x_next := x - (x * x * (x + beta) - 1.0) / (x * (3.0 * x + 2.0 * beta))) < x:
+        x = x_next
+    return n0 * x
 
 
 class ComparisonBounds(NamedTuple):

@@ -197,7 +197,6 @@ def cmd_tradeoff(args) -> tuple[int, str]:
     solution = {
         "state": kind.value,
         "formula": formula.value if kind is ProbeKind.COHERENT else None,
-        "method": sol.method,
         "n_opt": sol.n_opt,
         "delta_c_min": sol.delta_c_min,
     }

@@ -23,12 +23,6 @@ N_CROSS = 6
 MAX_EPSILON_DISTANCE = 100.0
 
 
-def _unit_convolution(points) -> list[float]:
-    """Unit-source convolution at each of the (N, 3) points, exactly: the
-    Newtonian potential of the uniform box [0, pi]^3, closedform.box_potential."""
-    return [box_potential(*map(float, p)) for p in points]
-
-
 def epsilon_point(point) -> float:
     """Plane-wave metric amplitude at a point, per unit P*M: twice the
     unit-source convolution.  Raises ValueError for a point that check_point

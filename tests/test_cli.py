@@ -134,10 +134,11 @@ _COMMANDS = (
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(raw=_configs, n=st.one_of(st.just(0.0), _positive))
 # with L = 1 m and lambda = 1e-6 m, a storage time of 1e-300 s underflows
-# 2*tau*kappa*M and one of 1e300 s overflows tau; the tiny cavity has its
-# exact root below the bracket; the huge one has M = 2e306, whose norm
-# overflows; the next keeps tau finite but overflows c*T; the sub-Planck
-# cavity keeps n*kappa*M finite but overflows the frequency shift
+# 2*tau*kappa*M and one of 1e300 s overflows tau; the tiny cavity solves,
+# with its exact n_opt ~ 2.85e-3 below one photon; the huge one has
+# M = 2e306, whose norm overflows; the next keeps tau finite but overflows
+# c*T; the sub-Planck cavity keeps n*kappa*M finite but overflows the
+# frequency shift
 @example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e-300}, n=1e20)
 @example(raw={"cavity_length_m": 1.0, "wavelength_m": 1e-6, "measurement_time_s": 1e300}, n=1e20)
 @example(raw={"cavity_length_m": 1e-30, "wavelength_m": 1e-36}, n=1e20)
@@ -477,7 +478,6 @@ def test_tradeoff_solution_and_sweep(config_path, tmp_path):
     )
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["solution"]["method"] == "root-find"
     assert len(payload["curves"]["n"]) == 11
     # the sweep brackets the crossing: noise dominates at small n,
     # back-action at large n
@@ -502,7 +502,7 @@ def test_tradeoff_sweep_is_logspace_to_one_ulp(points):
 def test_tradeoff_csv_header(config_path, capsys):
     # provenance lines sorted, then solution lines sorted, then the columns
     assert main(["tradeoff", "--config", config_path, "--format", "csv", "--points", "3"]) == EXIT_OK
-    header = capsys.readouterr().out.splitlines()[:10]
+    header = capsys.readouterr().out.splitlines()[:9]
     with open(config_path) as fh:
         sha = config_hash(json.load(fh))
     sol = optimal_tradeoff(ExperimentConfig(cavity_length=1000.0, wavelength=500e-9, finesse=1e4), ProbeKind.OPTIMAL)
@@ -513,7 +513,6 @@ def test_tradeoff_csv_header(config_path, capsys):
         f"# version: {__version__}",
         f"# delta_c_min: {round9(sol.delta_c_min)}",
         "# formula: None",
-        f"# method: {sol.method}",
         f"# n_opt: {round9(sol.n_opt)}",
         "# state: optimal",
         "n,qcrb,backaction_abs",
@@ -593,6 +592,7 @@ def test_import_does_not_load_scipy():
         (["-c", "import cavlight"], EXIT_OK),
         (["bounds"], EXIT_OK),
         (["tradeoff"], EXIT_OK),
+        (["tradeoff", "--state", "coherent", "--formula", "exact"], EXIT_OK),
         (["validate", "--n", "1e25"], EXIT_OK),
         (["frequency-shift", "--n", "1e20", "--transverse", "center"], EXIT_OK),
         (["frequency-shift", "--n", "1e20", "--transverse", "average"], EXIT_OK),
@@ -601,8 +601,8 @@ def test_import_does_not_load_scipy():
         (["kernel", "nan", "1", "1"], EXIT_CONFIG),
     ],
     ids=[
-        "import", "bounds", "tradeoff", "validate", "frequency-shift-center", "frequency-shift-average", "kernel",
-        "kernel-singular", "kernel-bad-point",
+        "import", "bounds", "tradeoff", "tradeoff-coherent-exact", "validate", "frequency-shift-center",
+        "frequency-shift-average", "kernel", "kernel-singular", "kernel-bad-point",
     ],
 )
 def test_closed_form_paths_do_not_load_numpy(args, code, config_path):

@@ -7,10 +7,10 @@ import pytest
 
 from cavlight import greens
 from cavlight.greens import QuadratureSpec, convolve_points
+from cavlight.closedform import box_potential
 from cavlight.fields import SRC_UNIT
 from cavlight.physical import ExperimentConfig, LengthConvention, ModeIndices, derive_params
 from cavlight.resonance import (
-    _unit_convolution,
     epsilon_point,
     frequency_shift,
     line_average_epsilon,
@@ -48,7 +48,7 @@ REFERENCE_POINTS = _reference_points()
 
 
 def test_unit_convolution_matches_tight_quadrature():
-    exact = _unit_convolution(REFERENCE_POINTS)
+    exact = [box_potential(*p) for p in REFERENCE_POINTS]
     tight = QuadratureSpec(rel_tol=1e-11, panel_order=12, max_depth=24)
     quad = convolve_points(SRC_UNIT, REFERENCE_POINTS, tight)
     assert np.all(quad.converged)
@@ -59,7 +59,7 @@ def test_unit_convolution_matches_tight_quadrature():
 def test_quadrature_reaches_its_tolerance_against_closed_form(rel_tol):
     # the tolerance holds; the claimed error itself under-claims near the
     # end faces, so it is not compared here
-    exact = _unit_convolution(REFERENCE_POINTS)
+    exact = [box_potential(*p) for p in REFERENCE_POINTS]
     quad = convolve_points(SRC_UNIT, REFERENCE_POINTS, QuadratureSpec(rel_tol=rel_tol))
     assert np.all(np.abs(quad.value - exact) <= rel_tol * np.abs(exact))
 
@@ -70,13 +70,13 @@ def test_quadrature_reaches_its_tolerance_against_closed_form(rel_tol):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the error estimate under-claims near the end faces")
 def test_quadrature_reaches_rel_tol_1e7_near_an_end_face():
     point = (0.0385, 0.9367069751809931, 2.3302973368569626)
-    exact = _unit_convolution([point])[0]
+    exact = box_potential(*point)
     r = greens.convolve_point(SRC_UNIT, point, QuadratureSpec(rel_tol=1e-7))
     assert abs(r.value - exact) <= 1e-7 * abs(exact)
 
 
 def test_epsilon_point_is_twice_unit_convolution():
-    assert epsilon_point(CENTER) == 2.0 * _unit_convolution([CENTER])[0]
+    assert epsilon_point(CENTER) == 2.0 * box_potential(*CENTER)
     assert isinstance(epsilon_point(CENTER), float)
 
 
