@@ -245,7 +245,6 @@ def laplacian_residual(field: FieldMap) -> ResidualStats:
         if vals[0] <= 0.0 or vals[-1] >= PI:
             raise ValueError("residual grid must lie strictly inside the cavity")
 
-    xs = field.grid.axis_values(0)
     ys = field.grid.axis_values(1)
     zs = field.grid.axis_values(2)
     eta, zeta = np.meshgrid(ys[1:-1], zs[1:-1], indexing="ij")

@@ -215,15 +215,17 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     node.  Panels are not sorted by node.  Every per-node sum is a
     bincount, which adds a node's panels in panel order, and the children
     of the kept panels stay in child-major order, which within a node is
-    the order of a batch of one.  Every per-node quantity (area, scale,
-    threshold, panel cap, error) is kept per node, so a node's result
-    does not depend on the nodes that share its batch.
+    the order of a batch of one.  Every per-node quantity (scale,
+    threshold, panel cap, error) is kept per node, and each node's
+    initial rectangles tile the source square, so a node's result does
+    not depend on the nodes that share its batch.
 
     ``value`` is (N, components), and all components share one set of
     panels.  A panel is accepted when the largest component discrepancy
     between its one-panel value and the sum of its four children is
     below a share of the node's tolerance, rel_tol times its largest
-    component magnitude, proportional to sqrt(panel area).  ``error`` sums the accepted
+    component magnitude, proportional to sqrt(panel area / pi^2), the
+    panel's share of the square.  ``error`` sums the accepted
     discrepancies, so it bounds the error of every component, and
     ``converged`` is exactly error <= rel_tol * max |value| with every
     component finite.
@@ -237,7 +239,6 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
             return np.bincount(ids, weights=x, minlength=n_nodes)
         return np.stack([np.bincount(ids, weights=col, minlength=n_nodes) for col in x.T], axis=1)
 
-    total_area = by_node(owner, (rects[1] - rects[0]) * (rects[3] - rects[2]))
     vals = _panel_values(rule, rects, owner, nodes, weights)
     value = np.zeros((n_nodes, vals.shape[1]))
     error = np.zeros(n_nodes)
@@ -262,11 +263,10 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
 
         scale = np.abs(value + by_node(owner, refined)).max(axis=1)[owner]
         tol_abs = spec.rel_tol * np.maximum(scale, 1e-300)
-        area = (a1 - a0) * (b1 - b0)
-        node_area = total_area[owner]
-        thresh = 0.25 * tol_abs * np.sqrt(area / node_area)
+        share = (a1 - a0) * (b1 - b0) / (PI * PI)
+        thresh = 0.25 * tol_abs * np.sqrt(share)
         # floating-point floor: refining below roundoff only grows the panel set
-        floor = 4.0 * np.finfo(float).eps * (np.abs(refined).max(axis=1) + scale * area / node_area)
+        floor = 4.0 * np.finfo(float).eps * (np.abs(refined).max(axis=1) + scale * share)
         accept = perr <= np.maximum(thresh, floor)
 
         value += by_node(owner[accept], refined[accept])
@@ -281,22 +281,22 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
         rects = flat[:, children]
         vals = cvals[children]
         owner = child_owner[children]
-        carried = perr[children % n_par] / 4.0
 
         # keep the active set bounded: a node over the cap accepts its
         # smallest-error panels early, at their best values and carried
         # errors, and the others keep their order.  On the last level the
-        # cap then drops to 0, which accepts every panel still active
-        for cap in (_MAX_ACTIVE_PANELS,) if level + 1 < spec.max_depth else (_MAX_ACTIVE_PANELS, 0):
-            count = np.bincount(owner, minlength=n_nodes)
-            if count.max() > cap:
-                ranked = np.lexsort((carried, owner))
-                rank = np.empty(len(owner), dtype=np.intp)
-                rank[ranked] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[ranked]]
-                early = rank < (count - cap)[owner]
-                value += by_node(owner[early], vals[early])
-                error += by_node(owner[early], carried[early])
-                rects, vals, owner, carried = rects[:, ~early], vals[~early], owner[~early], carried[~early]
+        # cap is 0, which accepts every panel still active
+        cap = _MAX_ACTIVE_PANELS if level + 1 < spec.max_depth else 0
+        count = np.bincount(owner, minlength=n_nodes)
+        if count.max() > cap:
+            carried = perr[children % n_par] / 4.0
+            ranked = np.lexsort((carried, owner))
+            rank = np.empty(len(owner), dtype=np.intp)
+            rank[ranked] = np.arange(len(owner)) - (np.cumsum(count) - count)[owner[ranked]]
+            early = rank < (count - cap)[owner]
+            value += by_node(owner[early], vals[early])
+            error += by_node(owner[early], carried[early])
+            rects, vals, owner = rects[:, ~early], vals[~early], owner[~early]
     converged = np.isfinite(value).all(axis=1) & (error <= spec.rel_tol * np.abs(value).max(axis=1))
     return QuadResult(value, error, converged)
 
@@ -354,17 +354,16 @@ def _convolve_batch(job) -> QuadResult:
     return r if np.ndim(source.basis) == 2 else r._replace(value=r.value[:, 0])
 
 
-# Batches are formed in point order by predicted cost, in units of one
-# point outside the cavity; a point in the closed cavity is singular and
-# costs about _SINGULAR_COST of them (serially, 47-79 for the (011)
-# sources at rel_tol 1e-6, 108 for large M at 1e-8, on a 2-vCPU VM).
-# _BATCH_COST bounds the panels, and so the memory, of one batch: 16
-# singular points.  A pool starts only when the predicted work of all
-# batches is at least _POOL_COST; on that VM two workers began to beat
-# serial work at 1024-2048 exterior or 64 singular (011) points.
+# Predicted cost, in units of one point outside the cavity; a point in
+# the closed cavity is singular and costs about _SINGULAR_COST of them
+# (serially, 47-79 for the (011) sources at rel_tol 1e-6, 108 for large M
+# at 1e-8, on a 2-vCPU VM).  Batches are cuts of the running cost at
+# multiples of _BATCH_COST, which bounds the panels, and so the memory,
+# of one batch: 16 singular points.  A pool starts at three batches, a
+# predicted cost of 2048; on that VM two workers began to beat serial
+# work at 1024-2048 exterior or 64 singular (011) points.
 _SINGULAR_COST = 64
 _BATCH_COST = 1024
-_POOL_COST = 2048
 
 
 def _cpu_count() -> int:
@@ -387,36 +386,25 @@ def _map_jobs(fn, jobs, workers: int, processes: bool = False) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _batch_bounds(cost) -> list[int]:
-    bounds = [0]
-    total = 0
-    for i, c in enumerate(cost.tolist()):
-        if total and total + c > _BATCH_COST:
-            bounds.append(i)
-            total = 0
-        total += c
-    return bounds + [len(cost)]
-
-
 def convolve_points(
     source: SourceFunction, points, spec: QuadratureSpec = DEFAULT_SPEC, threads: int = 1
 ) -> QuadResult:
     """convolve_point at each of the (N, 3) points, as arrays.
 
     ``value`` is (N,) or (N, components); ``error`` and ``converged``
-    are (N,).  Points are integrated in batches formed in point order,
-    and a point's result does not depend on the points that share its
-    batch, so results are bit-identical for any ``threads``.  threads=0
-    means one worker per CPU; a process pool starts only when the
-    predicted work pays for it.
+    are (N,).  Points are integrated in batches, cut from the points in
+    order by their running cost, and a point's result does not depend on
+    the points that share its batch, so results are bit-identical for any
+    ``threads``.  threads=0 means one worker per CPU; a process pool
+    starts only at three batches, where the predicted work pays for it.
     """
     check_count(threads, "threads")
     pts = check_points(points)
     inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
-    cost = np.where(inside, _SINGULAR_COST, 1)
-    bounds = _batch_bounds(cost)
-    jobs = [(source, pts[s:e], spec) for s, e in zip(bounds[:-1], bounds[1:])]
-    workers = (_cpu_count() if threads == 0 else threads) if cost.sum() >= _POOL_COST else 1
+    cost = np.cumsum(np.where(inside, _SINGULAR_COST, 1))
+    cuts = np.flatnonzero(np.diff(cost // _BATCH_COST)) + 1
+    jobs = [(source, batch, spec) for batch in np.split(pts, cuts)]
+    workers = (_cpu_count() if threads == 0 else threads) if len(jobs) >= 3 else 1
     parts = _map_jobs(_convolve_batch, jobs, workers, processes=True)
     return QuadResult(*(np.concatenate(arrays) for arrays in zip(*parts)))
 

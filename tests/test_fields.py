@@ -287,9 +287,8 @@ def _default_range(count):
 def test_metric_grid_thread_invariance(monkeypatch):
     spec = QuadratureSpec(rel_tol=1e-4)
     unfolded = GridSpec(xi=(0.8, 2.2, 3), eta=(1.0, 2.0, 2), zeta=(1.3, 1.7, 2))
-    # small batches, and a pool for any work, so threads=3 really uses one
+    # small batches, three or more per map, so threads=3 really uses a pool
     monkeypatch.setattr(greens, "_BATCH_COST", 16)
-    monkeypatch.setattr(greens, "_POOL_COST", 0)
     pools = _count_pools(monkeypatch)
     for grid in [unfolded, _default_range(6)]:
         a = metric_grid(grid, spec, threads=1)
@@ -328,6 +327,25 @@ def test_metric_grid_starts_a_pool_only_when_the_work_pays(monkeypatch):
     assert pools == [2]
     for name in pooled.components:
         assert np.array_equal(pooled.components[name], serial.components[name])
+
+
+@pytest.mark.parametrize(
+    "inside, count",
+    [(True, 31), (True, 32), (False, 2047), (False, 2048)],
+    ids=["31-cavity", "32-cavity", "2047-exterior", "2048-exterior"],
+)
+def test_pool_starts_at_a_predicted_cost_of_2048(monkeypatch, inside, count):
+    # a cavity point costs 64 and an exterior one 1, so the pool starts at
+    # 32 cavity or 2048 exterior points, and not one point earlier
+    box = (0.2, PI - 0.2) if inside else (PI + 1.0, PI + 3.0)
+    points = np.random.default_rng(count).uniform(*box, (count, 3))
+    spec = QuadratureSpec(rel_tol=1e-3)
+    pools = _count_pools(monkeypatch)
+    pooled = greens.convolve_points(fields.SRC_UNIT, points, spec, threads=2)
+    assert pools == ([2] if count in (32, 2048) else [])
+    serial = greens.convolve_points(fields.SRC_UNIT, points, spec, threads=1)
+    for a, b in zip(pooled, serial):
+        assert np.array_equal(a, b)
 
 
 def test_threads_0_counts_the_cpus_this_process_may_use(monkeypatch):
