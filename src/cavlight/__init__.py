@@ -21,14 +21,14 @@ _PUBLIC = {
         "CoherentFormula", "ProbeKind", "ProbeState", "ScalingTable", "TradeoffSolution", "backaction",
         "comparison_bounds", "optimal_tradeoff", "qcrb", "table1",
     ),
-    "modes": ("StressTensor", "stress_components_011", "stress_components_01M"),
+    "modes": ("StressTensor", "stress_components_011"),
     "greens": ("QuadratureSpec", "SourceFunction", "convolve_point", "kernel"),
     "fieldmap": ("FieldMap", "GridSpec"),
     "fields": (
-        "GIntegrals", "MetricPerturbation", "g_integrals", "laplacian_residual", "lightspeed_field",
-        "metric_011", "metric_01M", "metric_grid",
+        "MetricPerturbation", "g_integrals", "laplacian_residual", "lightspeed_field", "metric_011",
+        "metric_01M", "metric_grid",
     ),
-    "resonance": ("epsilon_point", "frequency_shift"),
+    "resonance": ("frequency_shift",),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = ["__version__", *_OWNER]

@@ -42,34 +42,14 @@ _SRC_G = SourceFunction(None, "g", tuple(src.basis for src in G_SOURCES))
 METRIC_COMPONENTS = ("h00", "h11", "h22", "h33", "h23")
 
 
-class GIntegrals(NamedTuple):
-    """The five convolution integrals of the (011) stress sources at a point.
-
-    ``error`` bounds the absolute quadrature error of each of the five
-    integrals; ``converged`` means error <= rel_tol times the largest
-    |g|, so an integral that vanishes by symmetry is resolved against
-    the scale of the others, not against its own roundoff.
-    """
-
-    g1: float
-    g2: float
-    g3: float
-    g3_tilde: float
-    g4: float
-    error: float
-    converged: bool
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.g1, self.g2, self.g3, self.g3_tilde, self.g4)
-
-
 class MetricPerturbation(NamedTuple):
     """Metric components at a point, in units of P: each the convolution of
     its own stress row, so the (011) h00..h23 are g1, g2, g3, g3_tilde, g4.
 
-    ``error`` is the quadrature's estimate of the absolute error of each
-    component and ``converged`` says whether that quadrature reached its
-    tolerance (see GIntegrals and h_tilde).
+    ``error`` is the engine's estimate of each component's absolute error,
+    not a bound (see greens._adaptive); ``converged`` means error <= rel_tol
+    times the largest |component|, every component finite, so one that
+    vanishes by symmetry is resolved against the scale of the others.
     """
 
     h00: float
@@ -84,12 +64,16 @@ class MetricPerturbation(NamedTuple):
     def trace(self) -> float:
         return -self.h00 + self.h11 + self.h22 + self.h33
 
+    def as_tuple(self) -> tuple[float, float, float, float, float]:
+        """(h00, h11, h22, h33, h23)."""
+        return (self.h00, self.h11, self.h22, self.h33, self.h23)
 
-def g_integrals(point, spec: QuadratureSpec = DEFAULT_SPEC) -> GIntegrals:
-    """Convolutions of f1, f2, f3, f3_tilde, f4 at one point, in one
-    adaptive pass over panels shared by all five sources."""
-    r = convolve_point(_SRC_G, point, spec)
-    return GIntegrals(*r.value.tolist(), error=r.error, converged=r.converged)
+
+def g_integrals(point, spec: QuadratureSpec = DEFAULT_SPEC) -> MetricPerturbation:
+    """The paper's g1, g2, g3, g3_tilde and g4 at one point, in one adaptive
+    pass over shared panels: the (011) h00, h11, h22, h33 and h23, so this
+    is metric_011."""
+    return metric_011(point, spec)
 
 
 def metric_011(point, spec: QuadratureSpec = DEFAULT_SPEC) -> MetricPerturbation:
@@ -122,23 +106,21 @@ def lightspeed_field(metric: MetricPerturbation):
     )
 
 
-def _metric_rows(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threads: int) -> np.ndarray:
-    """(h00, h11, h22, h33, h23, error, converged) per point, one row each."""
+def _metric(pts: np.ndarray, big_m: int | None, spec: QuadratureSpec, threads: int) -> QuadResult:
+    """(h00, h11, h22, h33, h23) at each point as an (N, 5) value, with the
+    engine's error and converged."""
     if big_m is None:
-        r = convolve_points(_SRC_G, pts, spec, threads)
-        columns, error = r.value, r.error
-    else:
-        big_m = check_big_m(big_m)
-        r = convolve_points(SRC_LARGE_M, pts, spec, threads)
-        columns = np.zeros((len(pts), len(METRIC_COMPONENTS)))
-        columns[:, [list(ROWS_011).index(key) for key in ROWS_LARGE_M]] = big_m * r.value[:, None]
-        error = big_m * r.error
-    return np.column_stack([columns, error, r.converged])
+        return convolve_points(_SRC_G, pts, spec, threads)
+    big_m = check_big_m(big_m)
+    r = convolve_points(SRC_LARGE_M, pts, spec, threads)
+    value = np.zeros((len(pts), len(METRIC_COMPONENTS)))
+    value[:, [list(ROWS_011).index(key) for key in ROWS_LARGE_M]] = big_m * r.value[:, None]
+    return QuadResult(value, big_m * r.error, r.converged)
 
 
 def _metric_point(point, big_m: int | None, spec: QuadratureSpec) -> MetricPerturbation:
-    *components, error, converged = _metric_rows(check_points([point]), big_m, spec, 1)[0].tolist()
-    return MetricPerturbation(*components, error=error, converged=bool(converged))
+    r = _metric(check_points([point]), big_m, spec, 1)
+    return MetricPerturbation(*r.value[0].tolist(), error=float(r.error[0]), converged=bool(r.converged[0]))
 
 
 def _mirrored(values: np.ndarray) -> bool:
@@ -201,19 +183,17 @@ def metric_grid(
     """
     swap = big_m is None and np.array_equal(grid.axis_values(1), grid.axis_values(2))
     nodes, inverse, odd, swapped = _fold(grid, swap)
-    flat = _metric_rows(grid.points()[nodes], big_m, spec, threads)[inverse]
+    shape = grid.shape
+    value, errors, converged = (a[inverse] for a in _metric(grid.points()[nodes], big_m, spec, threads))
     # 0 - h rather than -h keeps an exact zero (all of large-M h23) from
     # becoming -0, which the CSV would print as "-0"
-    flat[odd, 4] = 0.0 - flat[odd, 4]
-    flat[np.ix_(swapped, [2, 3])] = flat[np.ix_(swapped, [3, 2])]
+    value[odd, 4] = 0.0 - value[odd, 4]
+    value[np.ix_(swapped, [2, 3])] = value[np.ix_(swapped, [3, 2])]
 
-    shape = grid.shape
-    comp = {name: flat[:, i].reshape(shape) for i, name in enumerate(METRIC_COMPONENTS)}
-    errors = flat[:, 5].reshape(shape)
-    converged = flat[:, 6].reshape(shape).astype(bool)
-    metric = MetricPerturbation(**comp, error=errors, converged=converged)
+    comp = {name: value[:, i].reshape(shape) for i, name in enumerate(METRIC_COMPONENTS)}
+    metric = MetricPerturbation(**comp, error=errors.reshape(shape), converged=converged.reshape(shape))
     comp["dcx"], comp["dcy"], comp["dcz"] = lightspeed_field(metric)
-    return FieldMap(grid, comp, errors, converged, big_m)
+    return FieldMap(grid, comp, metric.error, metric.converged, big_m)
 
 
 class ResidualStats(NamedTuple):

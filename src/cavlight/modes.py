@@ -3,9 +3,11 @@
 Two mode families are supported: the fundamental (0,1,1) mode, whose
 time-averaged stress tensor is the paper's four trigonometric functions
 f1..f4, and the high-index (0,1,M) mode in the large-M limit, where only
-the 00/33 components survive (plus rapidly oscillating 11/22 terms that
-average out).  Every other component is a coefficient row over greens'
-five basis terms, the very row that the maps integrate.
+the 00/33 components survive: t11 = -t22 = 4 sin^2(eta) cos(2 M zeta)
+oscillate on the scale pi/M and average out of every convolution, so the
+large-M rows drop them (kept, t22 would leave a divergence, a trace of
+the dropped 1/M corrections).  Every component is a coefficient row over
+greens' five basis terms, the very row that the maps integrate.
 
 All stress values are dimensionless, in units of n*hbar*Omega/V.
 Coordinates (xi, eta, zeta) are the box coordinates rescaled to [0, pi].
@@ -83,29 +85,23 @@ f4 = functools.partial(evaluate_row, ROWS_011[2, 3])
 
 
 class StressTensor:
-    """Evaluator for the dimensionless expectation stress tensor t^{mu nu}.
+    """Evaluator for the dimensionless expectation stress tensor t^{mu nu}
+    of the (0,1,1) mode.
 
     Values are relative to n*hbar*Omega/V.  Pure functions of (eta, zeta);
     there is no xi dependence inside the cavity, and the tensor vanishes
-    outside.  ``big_m`` of None selects the (0,1,1) mode, an M that
-    check_big_m takes the large-M (0,1,M) form.
+    outside.
     """
 
-    def __init__(self, big_m: int | None = None):
-        self.big_m = None if big_m is None else check_big_m(big_m)
-        self._rows = ROWS_011 if big_m is None else ROWS_LARGE_M
-
-    def _row(self, mu: int, nu: int):
+    @staticmethod
+    def _row(mu: int, nu: int):
         """The basis row of t^{mu nu}; an empty one for a zero component."""
-        return self._rows.get((min(mu, nu), max(mu, nu)), ())
+        return ROWS_011.get((min(mu, nu), max(mu, nu)), ())
 
     def component(self, mu: int, nu: int, eta, zeta):
         """t^{mu nu}(eta, zeta), with mu, nu in 0..3."""
         if not (0 <= mu <= 3 and 0 <= nu <= 3):
             raise ValueError("tensor indices must be in 0..3")
-        if self.big_m is not None and (mu, nu) in ((1, 1), (2, 2)):
-            osc = 4.0 * np.sin(eta) ** 2 * np.cos(np.multiply(2.0 * self.big_m, zeta))
-            return osc if mu == 1 else -osc
         return evaluate_row(self._row(mu, nu), eta, zeta)
 
     def trace(self, eta, zeta):
@@ -118,20 +114,10 @@ class StressTensor:
 
         Valid in the open interior (0, pi)^2.
         """
-        div = np.array([evaluate_row(self._row(i, 2), eta, zeta, 0) + evaluate_row(self._row(i, 3), eta, zeta, 1)
-                        for i in (1, 2, 3)])
-        if self.big_m is not None:
-            # the oscillatory t22 term carries the only surviving partial;
-            # its non-vanishing divergence reflects the dropped 1/M corrections
-            div[1] -= 4.0 * np.sin(np.multiply(2.0, eta)) * np.cos(np.multiply(2.0 * self.big_m, zeta))
-        return div
+        return np.array([evaluate_row(self._row(i, 2), eta, zeta, 0) + evaluate_row(self._row(i, 3), eta, zeta, 1)
+                         for i in (1, 2, 3)])
 
 
 def stress_components_011() -> StressTensor:
     """Stress tensor of the (0,1,1) mode."""
     return StressTensor()
-
-
-def stress_components_01M(big_m: int) -> StressTensor:
-    """Large-M stress tensor of the (0,1,M) mode, for an M that check_big_m takes."""
-    return StressTensor(big_m)

@@ -13,33 +13,20 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .closedform import PI, box_potential, check_point, gauss_legendre
+from .closedform import PI, box_potential, gauss_legendre
 from .physical import ExperimentConfig, LengthConvention, check_instance, check_real, derive_params
 
 # Gauss-Legendre orders along the propagation line and per cross-section axis
 N_LINE = 24
 N_CROSS = 6
-# epsilon_point's range from the box centre; see closedform.box_potential's error
-MAX_EPSILON_DISTANCE = 100.0
-
-
-def epsilon_point(point) -> float:
-    """Plane-wave metric amplitude at a point, per unit P*M: twice the
-    unit-source convolution.  Raises ValueError for a point that check_point
-    refuses or that lies beyond MAX_EPSILON_DISTANCE of the box centre."""
-    p = check_point(point)
-    distance = math.hypot(*(c - PI / 2 for c in p))
-    if distance > MAX_EPSILON_DISTANCE:
-        raise ValueError(
-            f"epsilon_point takes points within {MAX_EPSILON_DISTANCE:g} of the box centre, not {distance:.3g}"
-        )
-    return 2.0 * box_potential(*p)
 
 
 @lru_cache(maxsize=32)
 def line_average_epsilon(transverse: str = "center") -> float:
     """Average of the dimensionless epsilon along the propagation line.
 
+    epsilon, the plane-wave metric amplitude per unit P*M, is twice the
+    unit-source convolution, which closedform.box_potential gives.
     ``transverse='center'`` averages along (xi, pi/2, pi/2);
     ``'average'`` additionally averages over the cross-section.
     """

@@ -49,21 +49,21 @@ H_TILDE_CENTER = 54.5951309243
 def test_g_integrals_center_frozen():
     g = g_integrals(CENTER)
     assert g.converged
-    assert g.g1 == pytest.approx(G_CENTER["g1"], rel=1e-5)
-    assert g.g2 == pytest.approx(G_CENTER["g2"], rel=1e-4)
-    assert g.g3 == pytest.approx(G_CENTER["g3"], rel=1e-5)
-    assert g.g3_tilde == pytest.approx(G_CENTER["g3_tilde"], rel=1e-5)
-    assert g.g4 == pytest.approx(0.0, abs=1e-6)
+    assert g.h00 == pytest.approx(G_CENTER["g1"], rel=1e-5)
+    assert g.h11 == pytest.approx(G_CENTER["g2"], rel=1e-4)
+    assert g.h22 == pytest.approx(G_CENTER["g3"], rel=1e-5)
+    assert g.h33 == pytest.approx(G_CENTER["g3_tilde"], rel=1e-5)
+    assert g.h23 == pytest.approx(0.0, abs=1e-6)
 
 
 def test_g_trace_identity():
     # g1 = g2 + g3 + g3_tilde because the stress tensor is trace-free
     for point in [CENTER, (1.0, 0.8, 2.0), (4.5, 1.5, 1.5)]:
         g = g_integrals(point)
-        assert g.g1 == pytest.approx(g.g2 + g.g3 + g.g3_tilde, abs=max(4e-6 * abs(g.g1), 4 * g.error))
+        assert g.h00 == pytest.approx(g.h11 + g.h22 + g.h33, abs=max(4e-6 * abs(g.h00), 4 * g.error))
         # the five share every panel's basis integrals, and their rows' trace
         # is exactly zero, so the identity holds to rounding
-        assert abs(g.g1 - g.g2 - g.g3 - g.g3_tilde) <= 1e-14 * max(map(abs, g.as_tuple()))
+        assert abs(g.h00 - g.h11 - g.h22 - g.h33) <= 1e-14 * max(map(abs, g.as_tuple()))
 
 
 def _count_kernel_points(monkeypatch):
@@ -148,10 +148,12 @@ def test_metric_011_center():
                          ids=["interior", "face", "exterior"])
 def test_metric_011_is_the_g_integrals(point):
     # each component is the convolution of its own stress row: h00..h23 are
-    # g1..g4 with g's error, not halved sums of g with twice the error
+    # g1..g4 with g's error, not halved sums of g with twice the error, and
+    # g_integrals returns metric_011's record
     g = g_integrals(point)
+    assert type(g) is fields.MetricPerturbation and g == metric_011(point)
+    assert g.as_tuple() == (g.h00, g.h11, g.h22, g.h33, g.h23)
     expected = (*g.as_tuple(), g.error, g.converged)
-    assert tuple(metric_011(point)) == expected
     node = metric_grid(GridSpec(*[(c, c, 1) for c in point]), threads=1)
     h = [node.components[name].item() for name in fields.METRIC_COMPONENTS]
     assert (*h, node.errors.item(), node.converged.item()) == expected
@@ -246,7 +248,7 @@ def test_delta_c_01M_gsum_alternative():
     # the g-sum route -M*(g1+g2+g3+g3_tilde)/4 integrates a different
     # reduced source but gives the same value at the symmetric center
     g = g_integrals(CENTER)
-    val = -100 * (g.g1 + g.g2 + g.g3 + g.g3_tilde) / 4.0
+    val = -100 * (g.h00 + g.h11 + g.h22 + g.h33) / 4.0
     m = metric_01M(CENTER, 100)
     assert val < 0.0
     assert val == pytest.approx(-0.5 * m.h00, rel=1e-4)
@@ -518,7 +520,7 @@ def test_laplacian_residual_checks_the_mode_the_map_carries():
 
 
 def test_laplacian_residual_warns_once_and_keeps_the_m_rule():
-    # the residual of an M = 16 map warned a second time, through StressTensor
+    # the residual of an M = 16 map once warned a second time, through the stress tensor
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         field = _interior_field(PI / 64, count=3, big_m=16)

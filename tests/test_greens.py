@@ -30,7 +30,6 @@ from cavlight.fields import (
     SRC_UNIT,
     metric_011,
 )
-from cavlight.resonance import epsilon_point
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -344,34 +343,35 @@ def test_convolve_point_rejects_nonfinite():
 
 
 @pytest.mark.parametrize(
-    "points, threads, match",
+    "points, threads, spec, match",
     [
-        ([CENTER], -1, "threads"),
+        ([CENTER], -1, QuadratureSpec(), "threads"),
         # enough cavity points to start a pool, and one exterior point that never does
-        ([CENTER] * 40, 2.5, "threads"),
-        ([(5.0, 5.0, 5.0)], 1.5, "threads"),
-        ([(5.0, 5.0, 5.0)], True, "threads"),
-        ([(5.0, 5.0, 5.0)], "2", "threads"),
-        (np.zeros((0, 3)), 1, r"\(N, 3\)"),
-        ([(1.0, 1.0)], 1, r"\(N, 3\)"),
+        ([CENTER] * 40, 2.5, QuadratureSpec(), "threads"),
+        ([(5.0, 5.0, 5.0)], 1.5, QuadratureSpec(), "threads"),
+        ([(5.0, 5.0, 5.0)], True, QuadratureSpec(), "threads"),
+        ([(5.0, 5.0, 5.0)], "2", QuadratureSpec(), "threads"),
+        (np.zeros((0, 3)), 1, QuadratureSpec(), r"\(N, 3\)"),
+        ([(1.0, 1.0)], 1, QuadratureSpec(), r"\(N, 3\)"),
+        # a dict once ended in an AttributeError, here in a worker process
+        ([CENTER] * 40, 2, {"rel_tol": 1e-4}, re.escape("spec must be a QuadratureSpec, got {'rel_tol': 0.0001}")),
     ],
     ids=["negative-threads", "fractional-threads-pooled", "fractional-threads", "bool-threads", "str-threads",
-         "no-points", "two-coordinates"],
+         "no-points", "two-coordinates", "dict-spec"],
 )
-def test_convolve_points_rejects_bad_input(points, threads, match):
+def test_convolve_points_rejects_bad_input(points, threads, spec, match):
     with pytest.raises(ValueError, match=match):
-        greens.convolve_points(SRC_UNIT, points, threads=threads)
+        greens.convolve_points(SRC_UNIT, points, spec, threads=threads)
 
 
 @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf, 1e308, -1.0000001e6, None])
 def test_point_rule_is_shared(coordinate):
-    # both kernels, convolve_points, the oracle and epsilon_point refuse the
-    # same points with one message
+    # both kernels, convolve_points and the oracle refuse the same points
+    # with one message
     point = (1.0, coordinate, 1.0)
     calls = [
         lambda: kernel(*point),
         lambda: closedform.line_kernel(*point),
-        lambda: epsilon_point(point),
         lambda: greens.convolve_points(SRC_UNIT, [CENTER, point]),
         lambda: mc_oracle_many([SRC_UNIT], point, 1000),
     ]
@@ -450,32 +450,42 @@ def test_mc_oracle_is_the_same_bits_for_any_cpu_count(monkeypatch, point):
 
 
 @pytest.mark.parametrize(
-    "sources, point, samples, match",
+    "sources, point, samples, stream, match",
     [
-        ([SRC_UNIT], CENTER, 10, re.escape("samples must be an integer in [1000, inf), got 10")),
-        ([SRC_UNIT], CENTER, 1e4, "samples must be an integer"),
-        ([SRC_UNIT], CENTER, 1000.5, "samples must be an integer"),
-        ([SRC_UNIT], CENTER, True, "samples must be an integer"),
-        ([SRC_UNIT], (math.nan, 1.0, 1.0), 100_000, "finite"),
-        ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000, "finite"),
-        ([SRC_UNIT, _SRC_G], CENTER, 100_000, "'g'"),
-        ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000, "'sum'"),
-        ([], CENTER, 100_000, "sources"),
-        ([SRC_UNIT], (1.0, 1.0), 100_000, "point"),
-        ([SRC_UNIT], (1.0, 1.0, 1.0, 1.0), 100_000, "point"),
-        ([SRC_UNIT], ((1, 2), 3, 4), 100_000, "point"),
-        ([SRC_UNIT], (1, "a", 4), 100_000, "point"),
+        ([SRC_UNIT], CENTER, 10, {}, re.escape("samples must be an integer in [1000, inf), got 10")),
+        ([SRC_UNIT], CENTER, 1e4, {}, "samples must be an integer"),
+        ([SRC_UNIT], CENTER, 1000.5, {}, "samples must be an integer"),
+        ([SRC_UNIT], CENTER, True, {}, "samples must be an integer"),
+        ([SRC_UNIT], (math.nan, 1.0, 1.0), 100_000, {}, "finite"),
+        ([SRC_UNIT], (math.inf, 1.0, 1.0), 100_000, {}, "finite"),
+        ([SRC_UNIT, _SRC_G], CENTER, 100_000, {}, "'g'"),
+        ([SourceFunction(lambda e, z: e + z, "sum")], CENTER, 100_000, {}, "'sum'"),
+        ([], CENTER, 100_000, {}, "sources"),
+        ([SRC_UNIT], (1.0, 1.0), 100_000, {}, "point"),
+        ([SRC_UNIT], (1.0, 1.0, 1.0, 1.0), 100_000, {}, "point"),
+        ([SRC_UNIT], ((1, 2), 3, 4), 100_000, {}, "point"),
+        ([SRC_UNIT], (1, "a", 4), 100_000, {}, "point"),
+        # int() once took True and 1.9 as seed 1 and 0.7 as point 0, and left
+        # a negative seed and a str point index to numpy's and int()'s messages
+        ([SRC_LARGE_M], CENTER, 1000, {"seed": True}, re.escape("seed must be an integer in [0, inf), got True")),
+        ([SRC_LARGE_M], CENTER, 1000, {"seed": 1.9}, re.escape("seed must be an integer in [0, inf), got 1.9")),
+        ([SRC_LARGE_M], CENTER, 1000, {"seed": -1}, re.escape("seed must be an integer in [0, inf), got -1")),
+        ([SRC_LARGE_M], CENTER, 1000, {"point_index": 0.7},
+         re.escape("point index must be an integer in [0, inf), got 0.7")),
+        ([SRC_LARGE_M], CENTER, 1000, {"point_index": "a"},
+         re.escape("point index must be an integer in [0, inf), got 'a'")),
     ],
     ids=[
         "tiny-sample", "float-samples", "fractional-samples", "bool-samples",
         "nan-point", "inf-point", "g-basis-rows", "no-basis-lambda",
         "no-sources", "two-coordinates", "four-coordinates", "ragged-point",
-        "non-numeric-point",
+        "non-numeric-point", "bool-seed", "fractional-seed", "negative-seed",
+        "fractional-point-index", "str-point-index",
     ],
 )
-def test_mc_oracle_rejects_bad_input(sources, point, samples, match):
+def test_mc_oracle_rejects_bad_input(sources, point, samples, stream, match):
     with pytest.raises(ValueError, match=match):
-        mc_oracle_many(sources, point, samples)
+        mc_oracle_many(sources, point, samples, **stream)
 
 
 def test_double_angle_matches_cos_sin():

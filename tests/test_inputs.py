@@ -6,10 +6,12 @@ where the docstring documents it, give a value.  The CLI must exit 2 with one
 ``config error:`` line that names the option.
 """
 
+import ast
 import contextlib
 import io
 import json
 import math
+import pathlib
 import warnings
 
 import pytest
@@ -20,9 +22,8 @@ from cavlight.cli import EXIT_CONFIG, main
 from cavlight.fieldmap import GridSpec
 from cavlight.fields import SRC_UNIT, g_integrals, metric_011, metric_01M, metric_grid
 from cavlight.greens import QuadratureSpec, SourceFunction, convolve_point, kernel
-from cavlight.modes import StressTensor, stress_components_01M
 from cavlight.physical import DimensionlessParams, ExperimentConfig, ModeIndices, validate_regime
-from cavlight.resonance import epsilon_point, frequency_shift
+from cavlight.resonance import frequency_shift
 
 VALUES = {
     "nan": math.nan,
@@ -63,8 +64,6 @@ LIBRARY = [
     ("backaction", "n", lambda v: backaction(v, 1, 1e-70), "photon number", {"zero", "1e308"}),
     ("backaction", "big_m", lambda v: backaction(1.0, v, 1e-70), "M", set()),
     ("backaction", "kappa", lambda v: backaction(1.0, 1, v), "kappa", {"1e308"}),
-    ("StressTensor", "big_m", lambda v: StressTensor(v), "M", set()),
-    ("stress_components_01M", "big_m", lambda v: stress_components_01M(v), "M", set()),
     ("QuadratureSpec", "rel_tol", lambda v: QuadratureSpec(rel_tol=v), "tolerance", set()),
     ("QuadratureSpec", "max_depth", lambda v: QuadratureSpec(max_depth=v), "max depth", set()),
     ("QuadratureSpec", "panel_order", lambda v: QuadratureSpec(panel_order=v), "panel order", set()),
@@ -80,7 +79,6 @@ LIBRARY = [
     ("metric_01M", "big_m", lambda v: metric_01M((5.0, 5.0, 5.0), v, LOOSE), "M", set()),
     ("metric_grid", "big_m", lambda v: metric_grid(FAR, LOOSE, big_m=v, threads=1), "M", set()),
     ("metric_grid", "threads", lambda v: metric_grid(FAR, LOOSE, threads=v), "threads", set()),
-    ("epsilon_point", "point", lambda v: epsilon_point((v, 1.0, 1.0)), COORDINATE, {"negative", "zero"}),
     ("frequency_shift", "n", lambda v: frequency_shift(CONFIG, v), "photon number", {"zero", "1e308"}),
 ]
 
@@ -95,7 +93,6 @@ EXEMPT = {
     "ValidityReport": "an output record that validate_regime builds",
     "TradeoffSolution": "an output record that optimal_tradeoff builds",
     "ScalingTable": "an output record that table1 builds",
-    "GIntegrals": "an output record that g_integrals builds",
     "MetricPerturbation": "an output record that the metric functions build",
     "FieldMap": "an output record that metric_grid builds from its arrays",
     "derive_params": "takes only an ExperimentConfig",
@@ -103,6 +100,7 @@ EXEMPT = {
     "comparison_bounds": "takes only an ExperimentConfig",
     "table1": "takes only an ExperimentConfig",
     "optimal_tradeoff": "takes a checked record and two enums",
+    "StressTensor": "takes no parameter",
     "stress_components_011": "takes no parameter",
     "laplacian_residual": "takes only a FieldMap",
     "lightspeed_field": "takes only a MetricPerturbation",
@@ -114,6 +112,26 @@ def test_table_covers_every_public_name():
     covered = {row[0] for row in LIBRARY}
     assert covered.isdisjoint(EXEMPT)
     assert covered | set(EXEMPT) == public
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own tests call is API that nothing uses:
+    # each must be read, as a name, an attribute or an import, by the
+    # library outside __init__, by the benchmark or by the acceptance suite
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "cavlight").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    public = {name for names in cavlight._PUBLIC.values() for name in names}
+    assert sorted(public - used) == []
 
 
 def _outcome(call, value):

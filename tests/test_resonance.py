@@ -10,11 +10,7 @@ from cavlight.greens import QuadratureSpec, convolve_points
 from cavlight.closedform import box_potential
 from cavlight.fields import SRC_UNIT
 from cavlight.physical import ExperimentConfig, LengthConvention, ModeIndices, derive_params
-from cavlight.resonance import (
-    epsilon_point,
-    frequency_shift,
-    line_average_epsilon,
-)
+from cavlight.resonance import frequency_shift, line_average_epsilon
 
 PI = math.pi
 CENTER = (PI / 2, PI / 2, PI / 2)
@@ -75,39 +71,15 @@ def test_quadrature_reaches_rel_tol_1e7_near_an_end_face():
     assert abs(r.value - exact) <= 1e-7 * abs(exact)
 
 
-def test_epsilon_point_is_twice_unit_convolution():
-    assert epsilon_point(CENTER) == 2.0 * box_potential(*CENTER)
-    assert isinstance(epsilon_point(CENTER), float)
+def test_box_potential_far_field():
+    # far away the potential tends to the box's volume over the distance
+    far = (PI / 2 + 99.0, PI / 2, PI / 2)
+    assert box_potential(*far) * 99.0 / PI**3 == pytest.approx(1.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("point", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0)])
-def test_epsilon_point_rejects_bad_point(point):
-    with pytest.raises(ValueError, match="three finite coordinates"):
-        epsilon_point(point)
-
-
-def test_epsilon_point_refuses_a_bool_coordinate():
-    # float() once took True as 1
-    with pytest.raises(ValueError, match="three finite coordinates"):
-        epsilon_point((True, 1, 1))
-
-
-def test_epsilon_point_range():
-    # far away epsilon/2 tends to the box's total source over the distance;
-    # beyond distance 100 the closed form loses digits as d^3, and beyond
-    # the kernel's coordinate bound every point is refused
-    near = (PI / 2 + 99.0, PI / 2, PI / 2)
-    assert epsilon_point(near) / 2.0 * 99.0 / PI**3 == pytest.approx(1.0, rel=1e-6)
-    for point in ((PI / 2 + 100.5, PI / 2, PI / 2), (PI / 2, -80.0, 80.0), (1e5, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="within 100 of the box centre"):
-            epsilon_point(point)
-    with pytest.raises(ValueError, match="three finite coordinates"):
-        epsilon_point((1e6 + 1.0, 0.0, 0.0))
-
-
-def test_epsilon_point_next_to_an_edge():
+def test_box_potential_next_to_an_edge():
     # one corner's ln argument (a^2+b^2)/(r-c) rounds to 0 here, and its term is below 1e-320
-    assert epsilon_point((2.3e-162, 2.3e-162, 3.0)) == pytest.approx(epsilon_point((0.0, 0.0, 3.0)), rel=1e-15)
+    assert box_potential(2.3e-162, 2.3e-162, 3.0) == pytest.approx(box_potential(0.0, 0.0, 3.0), rel=1e-15)
 
 
 def test_line_average_center_frozen():
