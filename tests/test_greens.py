@@ -1,6 +1,8 @@
 """Tests for the line-segment kernel, adaptive quadrature, and MC oracle."""
 
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -335,6 +337,53 @@ def test_error_covers_the_miss_of_the_unit_source(rel_tol):
     exact = np.array([closedform.box_potential(*p) for p in CALIBRATION_POINTS])
     r = greens.convolve_points(SRC_UNIT, CALIBRATION_POINTS, QuadratureSpec(rel_tol=rel_tol))
     assert np.all(np.abs(r.value - exact) <= r.error)
+
+
+# ROADMAP item 1's 69 points: the 48 face points above, 20 seeded interior
+# points and map01m-interior's first node (seed 1), 0.46 from every face
+CALIBRATION_69 = (
+    CALIBRATION_POINTS[:48]
+    + [tuple(p) for p in np.random.default_rng(11).uniform(0.25, PI - 0.25, (20, 3)).tolist()]
+    + [(0.49606394622302313, 0.5355417326693342, 0.46297436514476703)]
+)
+REFERENCES = json.loads((pathlib.Path(__file__).parent / "calibration_references.json").read_text())
+CALIBRATION_SOURCES = {"g": _SRC_G, "h_tilde": SRC_LARGE_M}
+# where h_tilde's error estimate still under-claims: the miss is 1.97 and
+# 1.12 times the claimed error, within rel_tol
+H_TILDE_UNDER_CLAIMS = {1e-7: (0.01, 0.09533479473819909, 2.220996350856112),
+                        1e-8: (0.001, 0.2690747942844946, 0.7439621478151841)}
+
+
+def _calibration_misses(name, rel_tol, points):
+    """|value - reference| (largest component), error and scale at points of CALIBRATION_69."""
+    ids = [CALIBRATION_69.index(p) for p in points]
+    reference = np.array(REFERENCES[name]).reshape(len(CALIBRATION_69), -1)[ids]
+    r = greens.convolve_points(CALIBRATION_SOURCES[name], points, QuadratureSpec(rel_tol=rel_tol))
+    miss = np.abs(r.value.reshape(reference.shape) - reference).max(axis=1)
+    return miss, r.error, np.abs(reference).max(axis=1)
+
+
+def test_calibration_references_are_item_1s_points():
+    assert [tuple(p) for p in REFERENCES["points"]] == CALIBRATION_69
+
+
+# against references frozen at rel_tol 1e-12: at the parent of singularity
+# subtraction g under-claimed at 7 face points at 1e-6, by up to 6.93 times,
+# and h_tilde at 1e-8 missed rel_tol itself at the interior node, by 2.68 times
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("name", list(CALIBRATION_SOURCES))
+def test_error_covers_the_miss_against_frozen_references(name, rel_tol):
+    miss, error, scale = _calibration_misses(name, rel_tol, CALIBRATION_69)
+    assert np.all(miss <= rel_tol * scale)
+    known = H_TILDE_UNDER_CLAIMS.get(rel_tol) if name == "h_tilde" else None
+    assert [CALIBRATION_69[i] for i in np.flatnonzero(miss > error)] in ([], [known])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the error estimate under-claims next to an end face")
+@pytest.mark.parametrize("rel_tol, point", list(H_TILDE_UNDER_CLAIMS.items()), ids=["1e-7", "1e-8"])
+def test_h_tilde_error_covers_the_miss_next_to_an_end_face(rel_tol, point):
+    miss, error, _ = _calibration_misses("h_tilde", rel_tol, [point])
+    assert miss[0] <= error[0]
 
 
 def test_convolve_point_rejects_nonfinite():
