@@ -6,12 +6,14 @@ the box depth.  Metric components are convolutions of this kernel with
 bounded sources over the transverse square [0, pi]^2.
 
 The kernel has an integrable logarithmic singularity on the line
-rho = 0, xi in [0, pi].  When the evaluation point projects into the
-source square, the domain is split into four rectangles meeting at the
-projection, so the singularity sits at panel corners where adaptive
-dyadic refinement of tensor Gauss panels handles it.  Many evaluation
-points are refined together in batches; each point's result is the
-same as if it were refined alone.
+rho = 0, xi in [0, pi].  When the evaluation point lies in the closed
+box, the domain is split into four rectangles meeting at its projection,
+so the singularity sits at panel corners, and the panels integrate the
+kernel against the source less its value there; that value times the
+kernel's integral is the box's potential in closed form.  Adaptive dyadic
+refinement of tensor Gauss panels handles what is left.  Many evaluation
+points are refined together in batches; each point's result is the same
+as if it were refined alone.
 
 A plain Monte-Carlo estimator of the same integral serves as an
 independent verification oracle.
@@ -27,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closedform import MAX_COORDINATE, NEAR_AXIS_RHO2, POINT_RULE, SingularKernelError
-from .closedform import check_point, gauss_legendre, line_kernel
+from .closedform import box_potential, check_point, gauss_legendre, line_kernel
 from .physical import check_count, check_instance, check_real, checked_record
 
 PI = math.pi
@@ -207,7 +209,7 @@ def _panel_values(rule, rects, owner, nodes, weights):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
+def _adaptive(rule, rects, owner, spec: QuadratureSpec, offset: np.ndarray) -> QuadResult:
     """Adaptive dyadic refinement of a batch of nodes at once.
 
     ``rects`` is a (4, P) array of initial rectangles and ``owner`` the
@@ -220,20 +222,24 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     initial rectangles tile the source square, so a node's result does
     not depend on the nodes that share its batch.
 
-    ``value`` is (N, components), and all components share one set of
-    panels.  A panel is accepted when the largest component discrepancy
-    between its one-panel value and the sum of its four children is
-    below a share of the node's tolerance, rel_tol times its largest
-    component magnitude, proportional to sqrt(panel area / pi^2), the
-    panel's share of the square.  ``error`` sums the accepted
+    ``offset`` is (N, components), the part of each node's value that the
+    panels do not integrate; ``value`` is the offset plus the panel sums,
+    (N, components), and all components share one set of panels.  A panel
+    is accepted when the largest component discrepancy between its
+    one-panel value and the sum of its four children is below a share of
+    the node's tolerance, rel_tol times its largest component magnitude,
+    offset included, proportional to sqrt(panel area / pi^2), the panel's
+    share of the square.  ``error`` sums the accepted
     discrepancies, the estimate of every component's error, not a bound:
-    near the end faces and at some interior nodes the miss exceeds it, up
-    to 38.7 times for h_tilde at rel_tol 1e-8 and 33 times for the unit
-    source at 1e-7, as five strict xfails in the tests mark.  ``converged``
-    is exactly error <= rel_tol * max |value| with every component finite.
+    against frozen references at 69 points near the end faces and inside
+    the box, g's miss stays within it from rel_tol 1e-5 to 1e-8, and
+    h_tilde's exceeds it at two points next to an end face, 1.97 times at
+    1e-7 and 1.12 times at 1e-8, as two strict xfails in the tests mark.
+    ``converged`` is exactly error <= rel_tol * max |value| with every
+    component finite.
     """
     nodes, weights = _gauss_rule(spec.panel_order)
-    n_nodes = int(owner.max()) + 1
+    n_nodes = len(offset)
 
     def by_node(ids, x):
         """Per-node sums of the panel values x, (P,) or (P, components)."""
@@ -242,7 +248,7 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
         return np.stack([np.bincount(ids, weights=col, minlength=n_nodes) for col in x.T], axis=1)
 
     vals = _panel_values(rule, rects, owner, nodes, weights)
-    value = np.zeros((n_nodes, vals.shape[1]))
+    value = offset.copy()
     error = np.zeros(n_nodes)
     for level in range(spec.max_depth):
         a0, a1, b0, b1 = rects
@@ -303,6 +309,12 @@ def _adaptive(rule, rects, owner, spec: QuadratureSpec) -> QuadResult:
     return QuadResult(value, error, converged)
 
 
+def _in_box(pts: np.ndarray) -> np.ndarray:
+    """Whether each of the (N, 3) points lies in the closed box [0, pi]^3,
+    where the kernel is singular at its projection."""
+    return np.all((pts >= 0.0) & (pts <= PI), axis=1)
+
+
 def _convolution_rects(point):
     """The source square, split at the projection of an interior point."""
     xi, eta, zeta = point
@@ -319,23 +331,51 @@ _BASIS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))
 _TRIG = (None, np.cos, np.sin)
 
 
+def _source_at(source: SourceFunction, rows: np.ndarray, eta: float, zeta: float) -> list[float]:
+    """The source at (eta, zeta), one entry per component.  A basis source
+    is summed with math, term by term, so the value does not depend on the
+    batch that asks for it."""
+    if source.basis is None:
+        return [np.asarray(source.fn(np.full((1, 1, 1), eta), np.full((1, 1), zeta)), dtype=float).item()]
+    # factor f of x is 1, cos 2x or sin 2x, as in _BASIS
+    factors = [(1.0, math.cos(2.0 * x), math.sin(2.0 * x)) for x in (eta, zeta)]
+    terms = [factors[0][fe] * factors[1][fz] for fe, fz in _BASIS]
+    return [math.fsum(c * t for c, t in zip(row, terms)) for row in rows.tolist()]
+
+
 def _convolve_batch(job) -> QuadResult:
-    """One adaptive pass over a batch of points; job is (source, points, spec)."""
+    """One adaptive pass over a batch of points; job is (source, points, spec).
+
+    At a point in the closed box the panels integrate the source less
+    f(eta, zeta), its value at the point's projection, and f(eta, zeta)
+    times closedform.box_potential at the point is the node's offset
+    (singularity subtraction; Khayat & Wilton, IEEE TAP 53(10), 2005)."""
     source, points, spec = job
-    rects = [_convolution_rects(p) for p in points.tolist()]
+    coords = points.tolist()
+    rects = [_convolution_rects(p) for p in coords]
     owner = np.repeat(np.arange(len(rects)), [r.shape[1] for r in rects])
     rows = np.array(source.basis or (), dtype=float).reshape(-1, 5)
-    terms = {}  # {zeta factor: [(eta factor, (components, 1) coefficients)]}
+    at = np.zeros((len(coords), max(len(rows), 1)))  # the source at each point's projection; 0 outside
+    offset = np.zeros_like(at)
+    for i in np.flatnonzero(_in_box(points)).tolist():
+        xi, eta, zeta = coords[i]
+        at[i] = _source_at(source, rows, eta, zeta)
+        offset[i] = at[i] * box_potential(xi, eta, zeta)
+    terms = {}  # {zeta factor: [(eta factor, (components, 1) or per node (components, N) coefficients)]}
     for column, (fe, fz) in zip(rows.T, _BASIS):
-        if column.any():
-            terms.setdefault(fz, []).append((fe, column[:, None]))
+        coef = column[:, None]
+        if (fe, fz) == (0, 0) and at.any():
+            coef = coef - at.T  # each node's -f(eta, zeta)
+        if coef.any():
+            terms.setdefault(fz, []).append((fe, coef))
     eta_factors = {fe for pairs in terms.values() for fe, _ in pairs}
 
     def rule(ep, zp, weights, ids):
         xi, eta, zeta = points[ids].T
         kern = _kernel_arrays(xi, eta - ep[:, None], zeta - zp)
         if source.basis is None:  # integrated pointwise
-            return np.einsum("ijp,i,j->p", kern * source.fn(ep[:, None], zp), weights, weights)[:, None]
+            values = source.fn(ep[:, None], zp) - at[ids, 0]
+            return np.einsum("ijp,i,j->p", kern * values, weights, weights)[:, None]
         # per zeta factor, contract the kernel once against each weighted eta
         # factor that pairs with it; operands are contiguous, as stride-0
         # ones slow einsum down
@@ -348,22 +388,25 @@ def _convolve_batch(job) -> QuadResult:
             # add the basis integrals one term at a time, in a fixed order,
             # so a point's bits do not depend on its batch
             for (_, coef), integral in zip(pairs, np.einsum("ijp,jp,bip->bp", kern, zeta_f, factors)):
-                out += coef * integral
+                out += (coef if coef.shape[1] == 1 else coef[:, ids]) * integral
         return out.T
 
-    r = _adaptive(rule, np.concatenate(rects, axis=1), owner, spec)
+    r = _adaptive(rule, np.concatenate(rects, axis=1), owner, spec, offset)
     # only a source with several basis rows keeps its component axis
     return r if np.ndim(source.basis) == 2 else r._replace(value=r.value[:, 0])
 
 
 # Predicted cost, in units of one point outside the cavity; a point in
-# the closed cavity is singular and costs about _SINGULAR_COST of them
-# (serially, 47-79 for the (011) sources at rel_tol 1e-6, 108 for large M
-# at 1e-8, on a 2-vCPU VM).  Batches are cuts of the running cost at
-# multiples of _BATCH_COST, which bounds the panels, and so the memory,
-# of one batch: 16 singular points.  A pool starts at three batches, a
-# predicted cost of 2048; on that VM two workers began to beat serial
-# work at 1024-2048 exterior or 64 singular (011) points.
+# the closed cavity is singular and counts as _SINGULAR_COST of them.
+# Serially, over the default map's nodes on a 2-vCPU VM, it costs about 14
+# for the (011) sources at rel_tol 1e-6 and 26 for large M at 1e-8 (48 and
+# 84 without the singular subtraction).  The constant stays 64, the value
+# the batch memory bound and the pool gate below were measured with.
+# Batches are cuts of the running cost at multiples of _BATCH_COST, which
+# bounds the panels, and so the memory, of one batch: 16 singular points.
+# A pool starts at three batches, a predicted cost of 2048; on that VM
+# two workers began to beat serial work at 1024-2048 exterior or 64
+# singular (011) points.
 _SINGULAR_COST = 64
 _BATCH_COST = 1024
 
@@ -403,8 +446,7 @@ def convolve_points(
     check_count(threads, "threads")
     check_instance(spec, QuadratureSpec, "spec")
     pts = check_points(points)
-    inside = np.all((pts >= 0.0) & (pts <= PI), axis=1)
-    cost = np.cumsum(np.where(inside, _SINGULAR_COST, 1))
+    cost = np.cumsum(np.where(_in_box(pts), _SINGULAR_COST, 1))
     cuts = np.flatnonzero(np.diff(cost // _BATCH_COST)) + 1
     jobs = [(source, batch, spec) for batch in np.split(pts, cuts)]
     workers = (_cpu_count() if threads == 0 else threads) if len(jobs) >= 3 else 1
@@ -527,7 +569,7 @@ def mc_oracle_many(
     if not sources:
         raise ValueError("sources must hold at least one source")
     for src in sources:
-        if np.shape(src.basis) != (5,):
+        if np.shape(check_instance(src, SourceFunction, "source").basis) != (5,):
             raise ValueError(f"source {src.label!r} needs a basis of one row of five, which the Monte-Carlo oracle reads")
     point = tuple(check_points([point])[0].tolist())
     coef = np.array([src.basis for src in sources], dtype=float).T  # (5, sources)

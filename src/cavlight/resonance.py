@@ -21,6 +21,13 @@ N_LINE = 24
 N_CROSS = 6
 
 
+def _check_transverse(transverse):
+    """transverse, if it is "center" or "average", else ValueError; never hashes it."""
+    if transverse not in ("center", "average"):
+        raise ValueError(f"unknown transverse option {transverse!r}")
+    return transverse
+
+
 @lru_cache(maxsize=32)
 def line_average_epsilon(transverse: str = "center") -> float:
     """Average of the dimensionless epsilon along the propagation line.
@@ -32,14 +39,12 @@ def line_average_epsilon(transverse: str = "center") -> float:
     """
     x, ws = gauss_legendre(N_LINE)  # on [0, 1], so the weights sum to 1
     xs = [PI * t for t in x]
-    if transverse == "center":
+    if _check_transverse(transverse) == "center":
         trans = [(PI / 2, PI / 2, 1.0)]
-    elif transverse == "average":
+    else:
         xc, wc = gauss_legendre(N_CROSS)
         pc = [PI * t for t in xc]
         trans = [(e, z, we * wz) for e, we in zip(pc, wc) for z, wz in zip(pc, wc)]
-    else:
-        raise ValueError(f"unknown transverse option {transverse!r}")
     return math.fsum(
         wt * wx * (2.0 * box_potential(xi, eta0, zeta0)) for eta0, zeta0, wt in trans for xi, wx in zip(xs, ws)
     )
@@ -59,6 +64,8 @@ def frequency_shift(
     """
     n = check_real(n, "photon number", ge=0)
     check_instance(convention, LengthConvention, "convention")
+    # checked before line_average_epsilon's cache hashes it
+    _check_transverse(transverse)
     if convention is LengthConvention.RIGID_RODS or n == 0:
         return 0.0
     params = derive_params(config)

@@ -206,3 +206,11 @@ def test_cli_option_table(tmp_path, option, argv, named, accepted):
         elif not any(name in lines[0] for name in named):
             wrong.append(f"{key}: {lines[0]!r} names none of {named}")
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize("transverse", [["x"], {"center": 1}, "corner"], ids=["list", "dict", "unknown"])
+def test_frequency_shift_refuses_a_bad_transverse_option(transverse):
+    # an unhashable option once reached line_average_epsilon's lru_cache,
+    # which raised TypeError: unhashable type
+    with pytest.raises(ValueError, match="^unknown transverse option "):
+        frequency_shift(CONFIG, 1.0, transverse=transverse)

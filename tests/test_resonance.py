@@ -60,10 +60,10 @@ def test_quadrature_reaches_its_tolerance_against_closed_form(rel_tol):
     assert np.all(np.abs(quad.value - exact) <= rel_tol * np.abs(exact))
 
 
-# near the end face xi = 0 the kernel has a second length scale, likely
-# missed by parent and child panels alike: here the quadrature reports
-# converged, with error 6.55e-8, yet misses rel_tol * |exact| by 1.31 x
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the error estimate under-claims near the end faces")
+# near the end face xi = 0 the kernel has a second length scale, which
+# parent and child panels missed alike: before singularity subtraction the
+# quadrature reported converged, with error 6.55e-8, yet missed
+# rel_tol * |exact| by 1.31 x.  The unit source is now exact in the box
 def test_quadrature_reaches_rel_tol_1e7_near_an_end_face():
     point = (0.0385, 0.9367069751809931, 2.3302973368569626)
     exact = box_potential(*point)
